@@ -131,20 +131,33 @@ def divmod_frac(a, b):
 
 
 def div_exact(a, b) -> tuple:
-    """a / b for integer polynomials when the division is exact over Z."""
+    """a / b for integer polynomials; ArithmeticError unless b divides a in Z[t].
+
+    Integer long division from the top: a quotient coefficient that is
+    not an integer, or a nonzero remainder, means b does not divide a.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return ()
-    q, r = divmod_frac(a, b)
-    if r:
+    nb = len(b)
+    nq = len(a) - nb + 1
+    if nq <= 0:
         raise ArithmeticError("polynomial division is not exact")
-    out = []
-    for c in q:
-        if c.denominator != 1:
+    r = list(a)
+    q = [0] * nq
+    lb = b[-1]
+    for k in range(nq - 1, -1, -1):
+        c, m = divmod(r[k + nb - 1], lb)
+        if m:
             raise ArithmeticError("polynomial division is not exact over Z")
-        out.append(int(c))
-    return trim(out)
+        if c:
+            q[k] = c
+            for i, bc in enumerate(b):
+                r[i + k] -= c * bc
+    if any(r[:nb - 1]):
+        raise ArithmeticError("polynomial division is not exact")
+    return tuple(q)
 
 
 def series_inverse(b, m: int) -> tuple:

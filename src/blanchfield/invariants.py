@@ -16,10 +16,9 @@ import math
 
 import numpy as np
 
-from .laurent import LaurentPoly, T
-from .matrix import LAURENT, Matrix
+from .laurent import LaurentPoly
 from .mkform import MKForm
-from .pairing import SeifertData
+from .pairing import SeifertData, seifert_presentation
 
 ZERO_EIGENVALUE_RTOL = 1e-9
 UNIT_CIRCLE_TOL = 1e-9
@@ -33,8 +32,7 @@ def alexander_polynomial(data: SeifertData) -> LaurentPoly:
     """det(tA - A^T), normalized so Delta(t) = Delta(1/t) and Delta(1) = 1."""
     if data.size == 0:
         return LaurentPoly.one()
-    a = data.matrix.to_ring(LAURENT)
-    det = (T * a - data.matrix.transpose().to_ring(LAURENT)).det()
+    det = seifert_presentation(data).det()
     if det.is_zero():
         raise ArithmeticError("det(tA - A^T) vanished; A is not a Seifert matrix")
     if det.coeffs != tuple(reversed(det.coeffs)):

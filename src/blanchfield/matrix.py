@@ -1,8 +1,9 @@
 """Exact dense linear algebra over Z, Z[t,t^-1] and Q(t).
 
-Determinants over the two rings use fraction-free (Bareiss) elimination;
-inverses and solves live over the field Q(t).  Matrices are immutable
-and 0x0 matrices are legal (the Seifert matrix of the unknot).
+Determinants and adjugates use fraction-free (Bareiss) elimination over
+the matrix's own ring, so no fractions arise over Z or Z[t,t^-1];
+inverses and solves are adj/det.  Matrices are immutable and 0x0
+matrices are legal (the Seifert matrix of the unknot).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .ratfunc import RationalFunction
 
 
 class SingularMatrixError(ArithmeticError):
-    """Raised when an inverse or solve meets a singular matrix."""
+    """Raised when an adjugate, inverse or solve meets a singular matrix."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -26,7 +27,6 @@ class Ring:
     one: object
     from_int: Callable
     exact_div: Callable
-    is_field: bool = False
 
 
 def _int_exact_div(a: int, b: int) -> int:
@@ -40,7 +40,7 @@ ZZ = Ring("Z", 0, 1, int, _int_exact_div)
 LAURENT = Ring("Z[t,t^-1]", LaurentPoly.zero(), LaurentPoly.one(),
                LaurentPoly.const, lambda a, b: a.exact_div(b))
 QT = Ring("Q(t)", RationalFunction.zero(), RationalFunction.one(),
-          RationalFunction, lambda a, b: a / b, is_field=True)
+          RationalFunction, lambda a, b: a / b)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,98 +149,78 @@ class Matrix:
             raise ValueError("matrix shapes differ")
 
     def det(self):
-        """Exact determinant; Bareiss over Z or Z[t,t^-1], Gauss over Q(t)."""
+        """Exact determinant by fraction-free (Bareiss) elimination."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return self.ring.one
-        if self.ring.is_field:
-            return self._field_det()
-        return self._bareiss_det()
+        try:
+            _, sign, d = self._bareiss(self.entries, jordan=False)
+        except SingularMatrixError:
+            return self.ring.zero
+        return d if sign > 0 else -d
 
-    def _bareiss_det(self):
+    def adjugate(self) -> tuple[Matrix, object]:
+        """(adj M, det M) by fraction-free Gauss-Jordan on [M | I].
+
+        The row operations turn [M | I] into [d I | d M^-1] with
+        d = +-det M, and d M^-1 = +-adj M.  Raises SingularMatrixError
+        when a pivot column is zero.
+        """
+        if not self.is_square():
+            raise ValueError("adjugate of a non-square matrix")
         n = self.rows
-        m = [list(row) for row in self.entries]
+        one, zero = self.ring.one, self.ring.zero
+        m, sign, d = self._bareiss(
+            [list(row) + [one if i == j else zero for j in range(n)]
+             for i, row in enumerate(self.entries)], jordan=True)
+        adj = Matrix(self.ring, [row[n:] for row in m], cols=n)
+        return (adj, d) if sign > 0 else (-adj, -d)
+
+    def _bareiss(self, rows: Sequence[Sequence], jordan: bool):
+        """Bareiss (1968) elimination of the square part of [self | extra].
+
+        Clears each pivot column below the pivot, or also above it when
+        jordan is set.  After step k every live entry is a (k+1)-minor,
+        so each division by the previous pivot is exact in the ring.
+        Returns (rows, sign of the row swaps, last pivot).
+        """
+        n = self.rows
+        m = [list(row) for row in rows]
+        div = self.ring.exact_div
         sign = 1
         prev = self.ring.one
-        div = self.ring.exact_div
-        for k in range(n - 1):
+        for k in range(n):
             piv = next((i for i in range(k, n) if m[i][k]), None)
             if piv is None:
-                return self.ring.zero
+                raise SingularMatrixError("matrix is singular")
             if piv != k:
                 m[k], m[piv] = m[piv], m[k]
                 sign = -sign
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                row_i = m[i]
-                row_k = m[k]
-                lead = row_i[k]
-                for j in range(k + 1, n):
-                    row_i[j] = div(pivot * row_i[j] - lead * row_k[j], prev)
-                row_i[k] = self.ring.zero
-            prev = pivot
-        d = m[n - 1][n - 1]
-        return d if sign > 0 else -d
-
-    def _field_det(self):
-        n = self.rows
-        m = [list(row) for row in self.entries]
-        det = self.ring.one
-        for k in range(n):
-            piv = next((i for i in range(k, n) if m[i][k]), None)
-            if piv is None:
-                return self.ring.zero
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                det = -det
-            pivot = m[k][k]
-            det = det * pivot
-            for i in range(k + 1, n):
-                factor = m[i][k] / pivot
-                if factor:
-                    m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
-        return det
-
-    def inverse(self) -> Matrix:
-        """Exact inverse over Q(t); raises SingularMatrixError if singular."""
-        sol = self._gauss_jordan([list(Matrix.identity(self.ring, self.rows).row(i))
-                                  for i in range(self.rows)])
-        return Matrix(self.ring, sol, cols=self.rows)
-
-    def solve(self, v: Sequence) -> tuple:
-        """The unique x with self @ x = v, over Q(t)."""
-        if len(v) != self.rows:
-            raise ValueError("right-hand side has wrong length")
-        sol = self._gauss_jordan([[e] for e in v])
-        return tuple(row[0] for row in sol)
-
-    def _gauss_jordan(self, aug: list[list]) -> list[list]:
-        if not self.ring.is_field:
-            raise ValueError(f"inverse/solve requires a field, not {self.ring.name}")
-        if not self.is_square():
-            raise ValueError("inverse/solve requires a square matrix")
-        n = self.rows
-        m = [list(row) for row in self.entries]
-        for k in range(n):
-            piv = next((i for i in range(k, n) if m[i][k]), None)
-            if piv is None:
-                raise SingularMatrixError("matrix is singular over Q(t)")
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                aug[k], aug[piv] = aug[piv], aug[k]
-            inv_p = self.ring.one / m[k][k]
-            m[k] = [e * inv_p for e in m[k]]
-            aug[k] = [e * inv_p for e in aug[k]]
-            for i in range(n):
+            row_k = m[k]
+            pivot = row_k[k]
+            for i in range(0 if jordan else k + 1, n):
                 if i == k:
                     continue
-                f = m[i][k]
-                if f:
-                    m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
-        return aug
+                row_i = m[i]
+                lead = row_i[k]
+                # columns <= k go stale: they now hold zeros and, on the
+                # diagonal, the pivot, and no later step reads them
+                for j in range(k + 1, len(row_k)):
+                    row_i[j] = div(pivot * row_i[j] - lead * row_k[j], prev)
+            prev = pivot
+        return m, sign, prev
+
+    def inverse(self) -> Matrix:
+        """adj/det over the matrix's own ring; ArithmeticError if det is
+        not a unit there, SingularMatrixError if it is zero."""
+        adj, d = self.adjugate()
+        return adj.map_entries(lambda e: self.ring.exact_div(e, d))
+
+    def solve(self, v: Sequence) -> tuple:
+        """The unique x with self @ x = v, as adj(self) v / det(self)."""
+        if len(v) != self.rows:
+            raise ValueError("right-hand side has wrong length")
+        adj, d = self.adjugate()
+        return tuple(self.ring.exact_div(e, d) for e in adj.mul_vec(v))
 
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:

@@ -17,8 +17,7 @@ from typing import Sequence
 
 from .laurent import LaurentPoly, T
 from .matrix import LAURENT, QT, ZZ, Matrix
-from .pairing import (InvariantViolation, PresentedPairing, SeifertData,
-                      _pairing_from_inverse, as_laurent_vector)
+from .pairing import PresentedPairing, SeifertData, as_laurent_vector
 from .qmod import QModLambda
 from .ratfunc import RationalFunction
 
@@ -136,9 +135,9 @@ class MKForm:
 
     def to_presented_pairing(self) -> PresentedPairing:
         """Module Lambda^2k/M_K(t) with pairing -v^T M_K(t^-1)^{-1} conj(w)."""
-        mc = self.mk.conjugate()
-        numer, denom = _pairing_from_inverse(mc, None, None)
-        return PresentedPairing(self.mk, -numer, denom, "mk")
+        adj, denom = self.mk.conjugate().adjugate()
+        return PresentedPairing(self.mk, -adj, denom, "mk",
+                                adjugate=(adj.conjugate(), denom.conjugate()))
 
     def pairing_value(self, v: Sequence, w: Sequence) -> QModLambda:
         return self.to_presented_pairing().value(v, w)

@@ -9,8 +9,9 @@ Three sources of input data are supported:
   * inclusion maps and intersection form of a general dual surface,
     giving the closed form -((i+ - t^{-1} i-)^{-1} i+ v)^T J conj(w).
 
-All pairings take values in Q(t)/Z[t,t^-1]; equality of module elements
-is decided exactly by solving over Q(t) and testing Laurentness.
+All pairings take values in Q(t)/Z[t,t^-1].  The pairing matrices and
+module membership come from the adjugate over Z[t,t^-1]: v presents
+zero exactly when det(P) divides every entry of adj(P) v.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .laurent import LaurentPoly, T
-from .matrix import LAURENT, QT, ZZ, Matrix, SingularMatrixError
+from .matrix import LAURENT, QT, ZZ, Matrix
 from .qmod import QModLambda, canonical_class
 from .ratfunc import RationalFunction
 
@@ -160,10 +161,13 @@ def basis_vector(n: int, i: int) -> tuple[LaurentPoly, ...]:
                  for j in range(n))
 
 
-def _clear_to_laurent(m_qt: Matrix, denom: LaurentPoly) -> Matrix:
-    """denom * m_qt entrywise, verified to land in Z[t,t^-1]."""
-    d = RationalFunction(denom)
-    return m_qt.map_entries(lambda e: (e * d).to_laurent(), LAURENT)
+def divides(d: LaurentPoly, x: LaurentPoly) -> bool:
+    """Does d divide x in Z[t,t^-1]?"""
+    try:
+        x.exact_div(d)
+    except ArithmeticError:
+        return False
+    return True
 
 
 class PresentedPairing:
@@ -172,17 +176,21 @@ class PresentedPairing:
     The pairing of coordinate vectors v, w is the Q/Lambda class of
     v^T * pairing_matrix * conj(w).  Internally the pairing matrix is
     kept as a Laurent numerator matrix over a common Laurent
-    denominator, which keeps evaluation cheap and exact.
+    denominator, which keeps evaluation cheap and exact.  A caller that
+    already has (adj, det) of the presentation may pass it as adjugate;
+    otherwise it is computed on the first membership test.
     """
 
     def __init__(self, presentation: Matrix, pairing_numer: Matrix,
-                 pairing_denom: LaurentPoly, label: str):
+                 pairing_denom: LaurentPoly, label: str,
+                 adjugate: tuple[Matrix, LaurentPoly] | None = None):
         if presentation.ring is not LAURENT or pairing_numer.ring is not LAURENT:
             raise ValueError("presentation data must live over Z[t,t^-1]")
         if not presentation.is_square() or pairing_numer.rows != presentation.rows \
                 or not pairing_numer.is_square():
             raise ValueError("presentation and pairing matrices must be square, same size")
-        if presentation.rows and not presentation.det():
+        det = presentation.det() if adjugate is None else adjugate[1]
+        if presentation.rows and not det:
             raise InvariantViolation("det(presentation) != 0")
         if pairing_denom.is_zero():
             raise InvariantViolation("pairing denominator nonzero")
@@ -190,7 +198,7 @@ class PresentedPairing:
         self.label = label
         self._numer = pairing_numer
         self._denom = pairing_denom
-        self._presentation_qt: Matrix | None = None
+        self._adjugate = adjugate
 
     @property
     def size(self) -> int:
@@ -228,41 +236,22 @@ class PresentedPairing:
             raise ValueError(f"vectors must have length {self.size}")
         if self.size == 0:
             return True
-        diff = [RationalFunction(a - b) for a, b in zip(v, w)]
-        x = self._qt_presentation().solve(diff)
-        return all(e.is_laurent() for e in x)
+        if self._adjugate is None:
+            self._adjugate = self.presentation.adjugate()
+        adj, det = self._adjugate
+        x = adj.mul_vec([a - b for a, b in zip(v, w)])
+        return all(divides(det, e) for e in x)
 
     def is_zero_element(self, v: Sequence) -> bool:
         return self.element_equal(v, [0] * self.size)
-
-    def _qt_presentation(self) -> Matrix:
-        if self._presentation_qt is None:
-            self._presentation_qt = self.presentation.to_ring(QT)
-        return self._presentation_qt
 
     def __repr__(self) -> str:
         return f"<PresentedPairing {self.label} n={self.size}>"
 
 
-def _pairing_from_inverse(base: Matrix, left: Matrix | None,
-                          scalar: LaurentPoly | None) -> tuple[Matrix, LaurentPoly]:
-    """Numerator/denominator form of (scalar or left) * base^{-1}.
-
-    base is a nonsingular matrix over Z[t,t^-1]; the result is
-    (numer, denom) with numer over Z[t,t^-1] and numer/denom equal to
-    left * base^{-1} (or scalar * base^{-1}).
-    """
-    denom = base.det()
-    if base.rows == 0:
-        return Matrix(LAURENT, [], cols=0), denom
-    if not denom:
-        raise SingularMatrixError("presentation data is singular over Q(t)")
-    inv = base.to_ring(QT).inverse()
-    if left is not None:
-        inv = left.to_ring(QT) * inv
-    if scalar is not None:
-        inv = inv.map_entries(lambda e: e * RationalFunction(scalar))
-    return _clear_to_laurent(inv, denom), denom
+def seifert_presentation(data: SeifertData) -> Matrix:
+    """The presentation matrix tA - A^T of the Alexander module."""
+    return T * data.matrix.to_ring(LAURENT) - data.matrix.transpose().to_ring(LAURENT)
 
 
 def from_seifert(data: SeifertData) -> PresentedPairing:
@@ -270,12 +259,12 @@ def from_seifert(data: SeifertData) -> PresentedPairing:
 
     Module Lambda^2g/(tA - A^T); pairing (v, w) -> v^T (t-1)(A - tA^T)^{-1} conj(w).
     """
-    a = data.matrix.to_ring(LAURENT)
-    at = data.matrix.transpose().to_ring(LAURENT)
-    presentation = T * a - at
-    base = a - T * at
-    numer, denom = _pairing_from_inverse(base, None, T - 1)
-    return PresentedPairing(presentation, numer, denom, "seifert")
+    presentation = seifert_presentation(data)
+    # A - tA^T = -P^T for P = tA - A^T, and P has even size, so one
+    # elimination gives both adj(A - tA^T) and adj(P) = -adj(A - tA^T)^T
+    adj, denom = (-presentation.transpose()).adjugate()
+    return PresentedPairing(presentation, (T - 1) * adj, denom, "seifert",
+                            adjugate=(-adj.transpose(), denom))
 
 
 def from_fibred(data: FibredData) -> PresentedPairing:
@@ -289,9 +278,9 @@ def from_fibred(data: FibredData) -> PresentedPairing:
     if n and not presentation.det():
         raise InvariantViolation("det(tP - id) != 0")
     tinv = LaurentPoly(-1, (1,))
-    base = tinv * p - Matrix.identity(LAURENT, n)
-    numer, denom = _pairing_from_inverse(base, data.intersection, None)
-    return PresentedPairing(presentation, numer, denom, "fibred")
+    adj, denom = (tinv * p - Matrix.identity(LAURENT, n)).adjugate()
+    return PresentedPairing(presentation, data.intersection.to_ring(LAURENT) * adj,
+                            denom, "fibred")
 
 
 class DualSurfaceEvaluator:
@@ -310,8 +299,7 @@ class DualSurfaceEvaluator:
     def __init__(self, data: DualSurfaceData):
         self.data = data
         mv = _mayer_vietoris_matrix(data.iota_plus, data.iota_minus)
-        # adj(mv) over the Laurent ring, with its determinant as denominator
-        self._adj, self._denom = _pairing_from_inverse(mv, None, None)
+        self._adj, self._denom = mv.adjugate()
         self._iplus = data.iota_plus.to_ring(LAURENT)
         self._j = data.intersection.to_ring(LAURENT)
 
@@ -349,15 +337,19 @@ def kearton_value(data: SeifertData, v: Sequence, w: Sequence) -> RationalFuncti
     n = data.size
     if len(v) != n or len(w) != n:
         raise ValueError(f"vectors must have length {n}")
-    a = data.matrix.to_ring(LAURENT)
-    base = T * a - data.matrix.transpose().to_ring(LAURENT)
-    numer, denom = _pairing_from_inverse(base, None, T - 1)
+    numer, denom = kearton_form(data)
     total = LaurentPoly.zero()
     for i, vi in enumerate(v):
         for j, wj in enumerate(w):
             if vi and wj:
                 total = total + vi * numer[i, j] * wj.conjugate()
     return RationalFunction(total, denom)
+
+
+def kearton_form(data: SeifertData) -> tuple[Matrix, LaurentPoly]:
+    """(t-1) adj(tA - A^T) over det(tA - A^T): the matrix of kearton_value."""
+    adj, denom = seifert_presentation(data).adjugate()
+    return (T - 1) * adj, denom
 
 
 def stabilize(data: SeifertData, row: Sequence[int], kind: str) -> SeifertData:

@@ -12,18 +12,18 @@ import cmath
 import dataclasses
 import itertools
 import random
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .catalog import CatalogEntry, _entry, render_entry
 from .invariants import (IndeterminateSignatureError, levine_tristram_signature,
                          mk_signature)
 from .laurent import LaurentPoly
 from .matrix import LAURENT, ZZ, Matrix
-from .mkform import MKForm, mk_matrix
+from .mkform import mk_matrix
 from .pairing import (DualSurfaceData, DualSurfaceEvaluator, FibredData,
                       PresentedPairing, SeifertData, as_laurent_vector,
-                      basis_vector, from_dual_surface, from_fibred,
-                      from_seifert, kearton_value)
+                      basis_vector, divides, from_dual_surface, from_fibred,
+                      from_seifert, kearton_form, seifert_presentation)
 from .qmod import canonical_class
 from .ratfunc import RationalFunction
 
@@ -184,15 +184,14 @@ def kearton_witness(data: SeifertData, bound: int = 2) -> tuple[
     n = data.size
     if n == 0:
         return None
-    a = data.matrix.to_ring(LAURENT)
-    pres = LaurentPoly(1, (1,)) * a - data.matrix.transpose().to_ring(LAURENT)
+    numer, denom = kearton_form(data)
+    # entry j of change * x is the change of the formula at w = e_j
+    change = (seifert_presentation(data).transpose() * numer).transpose()
     for x in itertools.product(range(-bound, bound + 1), repeat=n):
         if not any(x):
             continue
-        shifted = pres.mul_vec(as_laurent_vector(x))
-        for j in range(n):
-            diff = kearton_value(data, shifted, basis_vector(n, j))
-            if not diff.is_laurent():
+        for j, diff in enumerate(change.mul_vec(as_laurent_vector(x))):
+            if not divides(denom, diff):
                 return x, j
     return None
 
@@ -219,7 +218,7 @@ def check_mk(data: SeifertData, entry: CatalogEntry, rng: random.Random,
     except (ArithmeticError, ValueError) as exc:
         return CheckResult("mk-form", False, f"assembly failed: {exc}",
                            _counterexample(entry))
-    pres_det = from_seifert(data).presentation.det()
+    pres_det = seifert_presentation(data).det()
     if not form.determinant().is_unit_multiple_of(pres_det):
         return CheckResult("mk-form", False,
                            "det(M_K) is not a unit multiple of det(tA - A^T)",

@@ -120,3 +120,63 @@ def test_bareiss_matches_field_det():
         n = rng.randint(1, 4)
         m = _random_laurent_matrix(rng, n)
         assert RF(m.det()) == m.to_ring(QT).det()
+
+
+def _to_sympy(p, t):
+    return sum(c * t ** (p.val + i) for i, c in enumerate(p.coeffs))
+
+
+def test_adjugate_matches_sympy_oracle():
+    sp = pytest.importorskip("sympy")
+    t = sp.Symbol("t")
+    rng = random.Random(16)
+    checked = swapped = 0
+    while checked < 30:
+        n = rng.randint(1, 4)
+        m = _random_laurent_matrix(rng, n)
+        if n > 1 and checked % 3 == 0:
+            # a zero leading pivot forces a row swap
+            rows = [list(r) for r in m.entries]
+            rows[0][0] = LaurentPoly.zero()
+            m = Matrix(LAURENT, rows)
+            swapped += 1
+        try:
+            adj, det = m.adjugate()
+        except SingularMatrixError:
+            assert m.det().is_zero()
+            continue
+        assert adj * m == m * adj == det * Matrix.identity(LAURENT, n)
+        oracle = sp.Matrix(n, n, lambda i, j: _to_sympy(m[i, j], t))
+        assert sp.expand(_to_sympy(det, t) - oracle.det()) == 0
+        ours = sp.Matrix(n, n, lambda i, j: _to_sympy(adj[i, j], t))
+        assert sp.expand(ours - oracle.adjugate()) == sp.zeros(n, n)
+        checked += 1
+    assert swapped >= 5
+
+
+def test_adjugate_row_swap_sign():
+    swap = Matrix.from_int_rows(ZZ, [[0, 1], [1, 0]])
+    assert swap.adjugate() == (Matrix.from_int_rows(ZZ, [[0, -1], [-1, 0]]), -1)
+
+
+def test_adjugate_empty_matrix():
+    adj, det = Matrix(LAURENT, (), cols=0).adjugate()
+    assert adj == Matrix(LAURENT, (), cols=0)
+    assert det == LaurentPoly.one()
+
+
+def test_adjugate_of_singular_rejected():
+    m = laurent_matrix([[1 + T, 2], [T + T * T, 2 * T]])
+    with pytest.raises(SingularMatrixError):
+        m.adjugate()
+    with pytest.raises(SingularMatrixError):
+        Matrix.from_int_rows(ZZ, [[1, 2], [2, 4]]).adjugate()
+
+
+def test_inverse_over_the_rings():
+    assert Matrix.from_int_rows(ZZ, [[2, 1], [1, 1]]).inverse() == \
+        Matrix.from_int_rows(ZZ, [[1, -1], [-1, 2]])
+    unimodular = laurent_matrix([[T, 1], [0, 1]])
+    assert unimodular * unimodular.inverse() == Matrix.identity(LAURENT, 2)
+    with pytest.raises(ArithmeticError):
+        laurent_matrix([[T - 1, 1], [-T, T - 1]]).inverse()

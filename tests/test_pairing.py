@@ -5,6 +5,7 @@ import pytest
 from blanchfield.catalog import random_seifert
 from blanchfield.laurent import LaurentPoly, T
 from blanchfield.matrix import LAURENT, QT, ZZ, Matrix
+from blanchfield.mkform import mk_matrix
 from blanchfield.pairing import (DualSurfaceData, FibredData, InvariantViolation,
                                  SeifertData, as_laurent_vector, basis_vector,
                                  from_dual_surface, from_fibred, from_seifert,
@@ -195,3 +196,36 @@ def test_random_seifert_pairings_nonsingular():
         b = from_seifert(data)
         assert b.presentation.det()
         assert b.value(basis_vector(4, 0), basis_vector(4, 0)) is not None
+
+
+def test_pairing_matrix_inverts_seifert_base():
+    # (t-1)(A - tA^T)^{-1} times (A - tA^T) is (t-1) id over Q(t)
+    for genus, seed in [(1, 0), (1, 1), (2, 2), (2, 3), (3, 4)]:
+        data = random_seifert(genus, 3, seed)
+        a = data.matrix.to_ring(QT)
+        base = a - a.transpose().map_entries(lambda e: e * RF(T))
+        n = data.size
+        assert from_seifert(data).pairing_matrix * base == \
+            Matrix.identity(QT, n).map_entries(lambda e: e * RF(T - 1))
+
+
+def test_element_equal_needs_integral_quotient():
+    # 5_2: Delta = 2t - 3 + 2t^-1 is not monic, so the divisibility
+    # test meets quotients with non-integral coefficients
+    data = SeifertData(Matrix.from_int_rows(ZZ, [[-1, 1], [0, -2]]))
+    b = from_seifert(data)
+    assert b.presentation.det().is_unit_multiple_of(LaurentPoly.parse("2t^2 - 3t + 2"))
+    assert not b.is_zero_element([2, 0])
+    image = b.presentation.mul_vec(as_laurent_vector((1, -3)))
+    assert b.is_zero_element(image)
+    v = as_laurent_vector((T, 2))
+    assert b.element_equal(v, [x + y for x, y in zip(v, image)])
+
+
+def test_seifert_and_mk_pairings_carry_the_presentation_adjugate():
+    # membership is decided by divisibility, which cannot see a sign or
+    # t-power slip in the adjugate handed over at construction
+    for genus, seed in [(1, 5), (2, 6), (2, 7), (3, 8)]:
+        data = random_seifert(genus, 3, seed)
+        for b in (from_seifert(data), mk_matrix(data).to_presented_pairing()):
+            assert b._adjugate == b.presentation.adjugate()

@@ -1,8 +1,10 @@
+import itertools
 import random
 
-from blanchfield.catalog import builtin, load_entry
+from blanchfield.catalog import builtin, load_entry, random_seifert
 from blanchfield.matrix import ZZ, Matrix
-from blanchfield.pairing import SeifertData
+from blanchfield.pairing import (SeifertData, as_laurent_vector, basis_vector,
+                                 from_seifert, kearton_value)
 from blanchfield.verify import (check_hermitian, check_kearton, check_mk,
                                 check_well_defined, kearton_witness,
                                 seifert_entry, verify_entry, verify_random)
@@ -68,3 +70,24 @@ def test_well_defined_and_mk_on_random_instance():
     from blanchfield.pairing import from_seifert
     assert check_well_defined(from_seifert(data), entry, rng, 5).passed
     assert check_mk(data, entry, rng, z_samples=4).passed
+
+
+def _kearton_witness_by_value(data, bound):
+    # the search spelled out with one kearton_value call per (x, j)
+    n = data.size
+    pres = from_seifert(data).presentation
+    for x in itertools.product(range(-bound, bound + 1), repeat=n):
+        if any(x):
+            shifted = pres.mul_vec(as_laurent_vector(x))
+            for j in range(n):
+                if not kearton_value(data, shifted, basis_vector(n, j)).is_laurent():
+                    return x, j
+    return None
+
+
+def test_kearton_witness_matches_per_value_search():
+    cases = [TREFOIL, SeifertData(Matrix.from_int_rows(ZZ, [[0, 1], [0, 0]]))]
+    cases += [random_seifert(1, 3, seed) for seed in range(6)]
+    for data in cases:
+        for bound in (1, 2):
+            assert kearton_witness(data, bound) == _kearton_witness_by_value(data, bound)
