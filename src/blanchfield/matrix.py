@@ -2,8 +2,8 @@
 
 Determinants and adjugates use fraction-free (Bareiss) elimination over
 the matrix's own ring, so no fractions arise over Z or Z[t,t^-1];
-inverses and solves are adj/det.  Matrices are immutable and 0x0
-matrices are legal (the Seifert matrix of the unknot).
+callers keep adj/det rather than an inverse.  Matrices are immutable
+and 0x0 matrices are legal (the Seifert matrix of the unknot).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .ratfunc import RationalFunction
 
 
 class SingularMatrixError(ArithmeticError):
-    """Raised when an adjugate, inverse or solve meets a singular matrix."""
+    """Raised when an adjugate meets a singular matrix."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -208,19 +208,6 @@ class Matrix:
                     row_i[j] = div(pivot * row_i[j] - lead * row_k[j], prev)
             prev = pivot
         return m, sign, prev
-
-    def inverse(self) -> Matrix:
-        """adj/det over the matrix's own ring; ArithmeticError if det is
-        not a unit there, SingularMatrixError if it is zero."""
-        adj, d = self.adjugate()
-        return adj.map_entries(lambda e: self.ring.exact_div(e, d))
-
-    def solve(self, v: Sequence) -> tuple:
-        """The unique x with self @ x = v, as adj(self) v / det(self)."""
-        if len(v) != self.rows:
-            raise ValueError("right-hand side has wrong length")
-        adj, d = self.adjugate()
-        return tuple(self.ring.exact_div(e, d) for e in adj.mul_vec(v))
 
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:

@@ -6,9 +6,14 @@ form (0 id; -id 0), the matrix
     M_K(t) = diag((1-t^-1)^-1 id, id) A diag(id, (1-t) id)
            + diag(id, (1-t^-1) id) A^T diag((1-t)^-1 id, id)
 
-has all entries in Z[t,t^-1], is hermitian, and presents the Alexander
-module with pairing (v, w) -> -v^T M_K(t^-1)^{-1} conj(w).  Its
-signatures at unit-circle points equal the Levine-Tristram signatures.
+is hermitian and presents the Alexander module with pairing
+(v, w) -> -v^T M_K(t^-1)^{-1} conj(w).  Its signatures at unit-circle
+points equal the Levine-Tristram signatures.  Because A - A^T vanishes
+on the diagonal blocks of a symplectic basis, the denominators cancel
+and each k x k block of M_K is an integer Laurent expression in A:
+
+    ( a_ij                  a_ji - t a_ij                     )
+    ( a_ij - t^-1 a_ji      (1 - t) a_ij + (1 - t^-1) a_ji    )
 """
 
 from __future__ import annotations
@@ -16,10 +21,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from .laurent import LaurentPoly, T
-from .matrix import LAURENT, QT, ZZ, Matrix
+from .matrix import LAURENT, ZZ, Matrix
 from .pairing import PresentedPairing, SeifertData, as_laurent_vector
 from .qmod import QModLambda
-from .ratfunc import RationalFunction
 
 
 class MKAssemblyError(ArithmeticError):
@@ -117,6 +121,7 @@ class MKForm:
         self.mk = mk
         self.congruence = congruence
         self.source = source
+        self._pairing: PresentedPairing | None = None
 
     @property
     def size(self) -> int:
@@ -134,10 +139,14 @@ class MKForm:
         return self.mk.det()
 
     def to_presented_pairing(self) -> PresentedPairing:
-        """Module Lambda^2k/M_K(t) with pairing -v^T M_K(t^-1)^{-1} conj(w)."""
-        adj, denom = self.mk.conjugate().adjugate()
-        return PresentedPairing(self.mk, -adj, denom, "mk",
-                                adjugate=(adj.conjugate(), denom.conjugate()))
+        """Module Lambda^2k/M_K(t) with pairing -v^T M_K(t^-1)^{-1} conj(w),
+        built on the first call and shared by later ones."""
+        if self._pairing is None:
+            adj, denom = self.mk.conjugate().adjugate()
+            self._pairing = PresentedPairing(
+                self.mk, -adj, denom, "mk",
+                adjugate=(adj.conjugate(), denom.conjugate()))
+        return self._pairing
 
     def pairing_value(self, v: Sequence, w: Sequence) -> QModLambda:
         return self.to_presented_pairing().value(v, w)
@@ -149,58 +158,33 @@ class MKForm:
 def mk_matrix(data: SeifertData) -> MKForm:
     """Assemble M_K(t) for a Seifert matrix, normalizing A - A^T first.
 
-    The two-term sum is computed over Q(t) and each entry is checked to
-    land in Z[t,t^-1]; hermitianness and a nonzero determinant are
-    verified as well.  Failures indicate invalid input (or a bug) and
-    raise MKAssemblyError with the offending entry.
+    The entries come from the block formulas in the module docstring,
+    applied to A after the symplectic congruence.  M_K is then checked
+    to be hermitian and nonsingular; a failure indicates invalid input
+    (or a bug) and raises MKAssemblyError.
     """
     n = data.size
     k = n // 2
-    skew = data.matrix - data.matrix.transpose()
-    congruence = symplectic_normalize(skew)
-    a_std = congruence * data.matrix * congruence.transpose()
+    congruence = symplectic_normalize(data.matrix - data.matrix.transpose())
+    a = congruence * data.matrix * congruence.transpose()
+    tinv = T.conjugate()
 
-    a_qt = a_std.to_ring(QT)
-    at_qt = a_std.transpose().to_ring(QT)
-    one = RationalFunction.one()
-    # (1 - t^-1)^-1 = t/(t-1) and (1 - t)^-1 = -1/(t-1)
-    s_plus = RationalFunction(T, T - 1)
-    s_minus = RationalFunction(LaurentPoly.const(-1), T - 1)
-    one_minus_t = RationalFunction(1 - T)
-    one_minus_tinv = RationalFunction(LaurentPoly.parse("1 - t^-1"))
+    def entry(i: int, j: int) -> LaurentPoly:
+        if i < k and j < k:
+            return LaurentPoly.const(a[i, j])
+        if i < k:
+            return a[j, i] - T * a[i, j]
+        if j < k:
+            return a[i, j] - tinv * a[j, i]
+        return (1 - T) * a[i, j] + (1 - tinv) * a[j, i]
 
-    d1 = _block_diag_scalars(s_plus, one, k)
-    d2 = _block_diag_scalars(one, one_minus_t, k)
-    d3 = _block_diag_scalars(one, one_minus_tinv, k)
-    d4 = _block_diag_scalars(s_minus, one, k)
-    assembled = d1 * a_qt * d2 + d3 * at_qt * d4
-
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = assembled[i, j]
-            if not entry.is_laurent():
-                raise MKAssemblyError(
-                    f"entry ({i},{j}) of M_K lies outside Z[t,t^-1]: {entry}")
-            row.append(entry.to_laurent())
-        rows.append(row)
-    mk = Matrix(LAURENT, rows, cols=n)
+    mk = Matrix(LAURENT, [[entry(i, j) for j in range(n)] for i in range(n)],
+                cols=n)
     if mk.conjugate_transpose() != mk:
         raise MKAssemblyError("assembled M_K is not hermitian")
     if n and not mk.det():
         raise MKAssemblyError("assembled M_K is singular")
     return MKForm(mk, congruence, data)
-
-
-def _block_diag_scalars(top: RationalFunction, bottom: RationalFunction,
-                        k: int) -> Matrix:
-    n = 2 * k
-    rows = [[RationalFunction.zero()] * n for _ in range(n)]
-    for i in range(k):
-        rows[i][i] = top
-        rows[k + i][k + i] = bottom
-    return Matrix(QT, rows, cols=n)
 
 
 def mk_pairing_value(form: MKForm, v: Sequence, w: Sequence) -> QModLambda:

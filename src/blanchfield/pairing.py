@@ -272,15 +272,14 @@ def from_fibred(data: FibredData) -> PresentedPairing:
 
     Module Lambda^k/(tP - id); pairing (v, w) -> v^T J (t^{-1}P - id)^{-1} conj(w).
     """
-    n = data.size
-    p = data.monodromy.to_ring(LAURENT)
-    presentation = T * p - Matrix.identity(LAURENT, n)
-    if n and not presentation.det():
-        raise InvariantViolation("det(tP - id) != 0")
-    tinv = LaurentPoly(-1, (1,))
-    adj, denom = (tinv * p - Matrix.identity(LAURENT, n)).adjugate()
-    return PresentedPairing(presentation, data.intersection.to_ring(LAURENT) * adj,
-                            denom, "fibred")
+    presentation = (T * data.monodromy.to_ring(LAURENT)
+                    - Matrix.identity(LAURENT, data.size))
+    # det(tP - id) has constant term det(-id) = +-1, so it never vanishes;
+    # adj(t^-1 P - id) is the conjugate of adj(tP - id)
+    adj, det = presentation.adjugate()
+    return PresentedPairing(presentation,
+                            data.intersection.to_ring(LAURENT) * adj.conjugate(),
+                            det.conjugate(), "fibred", adjugate=(adj, det))
 
 
 class DualSurfaceEvaluator:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import itertools
 import random
 from typing import Sequence
 
@@ -21,9 +20,9 @@ from .laurent import LaurentPoly
 from .matrix import LAURENT, ZZ, Matrix
 from .mkform import mk_matrix
 from .pairing import (DualSurfaceData, DualSurfaceEvaluator, FibredData,
-                      PresentedPairing, SeifertData, as_laurent_vector,
-                      basis_vector, divides, from_dual_surface, from_fibred,
-                      from_seifert, kearton_form, seifert_presentation)
+                      PresentedPairing, SeifertData, basis_vector, divides,
+                      from_dual_surface, from_fibred, from_seifert,
+                      kearton_form, seifert_presentation)
 from .qmod import canonical_class
 from .ratfunc import RationalFunction
 
@@ -171,48 +170,52 @@ def check_consistency(data: SeifertData, entry: CatalogEntry,
     return CheckResult("consistency", True, f"{trials} trials")
 
 
-def kearton_witness(data: SeifertData, bound: int = 2) -> tuple[
-        tuple[int, ...], int] | None:
-    """Search for integer x and basis index j making the classical formula
+def kearton_witness(data: SeifertData) -> tuple[tuple[int, ...], int] | None:
+    """Integer x and basis index j making the classical formula
     v^T (t-1)(tA - A^T)^{-1} conj(w) change by a non-Laurent amount under
     v -> v + (tA - A^T) x with w = e_j.
 
-    The change equals ((tA - A^T) x)^T (t-1)(tA - A^T)^{-1} conj(e_j), so
-    the search does not depend on v.  Returns None when no witness exists
-    in the box (e.g. for matrices with trivial Alexander module).
+    The change equals ((tA - A^T) x)^T (t-1)(tA - A^T)^{-1} conj(e_j):
+    it does not depend on v and is Z-linear in x, so some integer x is a
+    witness exactly when some basis vector x = e_i is.  Returns the first
+    such (e_i, j), scanning columns i and then rows j of the change
+    matrix, or None when det(tA - A^T) divides every entry of it.
     """
     n = data.size
-    if n == 0:
-        return None
     numer, denom = kearton_form(data)
-    # entry j of change * x is the change of the formula at w = e_j
-    change = (seifert_presentation(data).transpose() * numer).transpose()
-    for x in itertools.product(range(-bound, bound + 1), repeat=n):
-        if not any(x):
-            continue
-        for j, diff in enumerate(change.mul_vec(as_laurent_vector(x))):
-            if not divides(denom, diff):
-                return x, j
+    # entry (j, i) is the change of the formula at x = e_i, w = e_j
+    change = numer.transpose() * seifert_presentation(data)
+    for i in range(n):
+        for j in range(n):
+            if not divides(denom, change[j, i]):
+                return tuple(int(r == i) for r in range(n)), j
     return None
 
 
-def check_kearton(data: SeifertData, entry: CatalogEntry,
-                  bound: int = 2) -> CheckResult:
-    witness = kearton_witness(data, bound)
+def check_kearton(data: SeifertData, entry: CatalogEntry) -> CheckResult:
+    """The classical formula is ill-defined exactly on a nontrivial module.
+
+    A witness passes; no witness passes only when det(tA - A^T) is a
+    unit, i.e. the Alexander module is trivial, and fails otherwise.
+    """
+    witness = kearton_witness(data)
     if witness is not None:
         x, j = witness
         return CheckResult("kearton-ill-defined", True,
                            f"WITNESS FOUND x={list(x)}, w=e{j + 1}")
-    return CheckResult("kearton-ill-defined", True,
-                       f"no witness with |x| <= {bound} "
-                       "(module may be trivial)")
+    if seifert_presentation(data).det().is_unit():
+        return CheckResult("kearton-ill-defined", True,
+                           "no witness, the Alexander module is trivial")
+    return CheckResult("kearton-ill-defined", False,
+                       "no witness, but the Alexander module is nontrivial",
+                       _counterexample(entry))
 
 
 def check_mk(data: SeifertData, entry: CatalogEntry, rng: random.Random,
              z_samples: int = 8) -> CheckResult:
-    """M_K entries lie in the Laurent ring, M_K is hermitian, its
-    determinant matches det(tA - A^T) up to a unit, and its signatures
-    agree with the Levine-Tristram signatures at sampled points."""
+    """M_K assembles (hermitian and nonsingular), its determinant matches
+    det(tA - A^T) up to a unit, and its signatures agree with the
+    Levine-Tristram signatures at sampled points."""
     try:
         form = mk_matrix(data)
     except (ArithmeticError, ValueError) as exc:
@@ -246,8 +249,7 @@ def check_mk(data: SeifertData, entry: CatalogEntry, rng: random.Random,
                                "could not find enough determinate sample points",
                                _counterexample(entry))
     return CheckResult("mk-form", True,
-                       f"entries in Lambda, hermitian, det matches, "
-                       f"{z_samples} signature samples")
+                       f"hermitian, det matches, {z_samples} signature samples")
 
 
 def check_dual_sesquilinear(dual: DualSurfaceEvaluator, entry: CatalogEntry,

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from blanchfield.catalog import random_seifert
-from blanchfield.laurent import LaurentPoly
-from blanchfield.matrix import LAURENT, ZZ, Matrix
+from blanchfield.catalog import builtin, random_seifert
+from blanchfield.laurent import LaurentPoly, T
+from blanchfield.matrix import LAURENT, QT, ZZ, Matrix
 from blanchfield.mkform import (mk_matrix, mk_pairing_value, standard_symplectic,
                                 symplectic_normalize)
 from blanchfield.pairing import SeifertData, basis_vector, from_seifert
+from blanchfield.ratfunc import RationalFunction as RF
 from blanchfield.verify import random_vector
 
 TREFOIL = SeifertData(Matrix.from_int_rows(ZZ, [[-1, 1], [0, -1]]))
@@ -124,3 +125,38 @@ def test_mk_random_entries_hermitian_det():
         skew = data.matrix - data.matrix.transpose()
         assert (form.congruence * skew * form.congruence.transpose()
                 == standard_symplectic(g))
+
+
+def _mk_reference(data):
+    # the paper's two-term diagonal-scaled sum over Q(t), with every
+    # entry required to come back Laurent
+    congruence = symplectic_normalize(data.matrix - data.matrix.transpose())
+    a = (congruence * data.matrix * congruence.transpose()).to_ring(QT)
+    k = data.size // 2
+
+    def diag(top, bottom):
+        return Matrix(QT, [[(top if i < k else bottom) if i == j else RF.zero()
+                            for j in range(2 * k)] for i in range(2 * k)],
+                      cols=2 * k)
+
+    one = RF.one()
+    assembled = (diag(RF(T, T - 1), one) * a * diag(one, RF(1 - T))
+                 + diag(one, RF(1 - T.conjugate())) * a.transpose()
+                 * diag(RF(LaurentPoly.const(-1), T - 1), one))
+    assert all(e.is_laurent() for row in assembled.entries for e in row)
+    return assembled.map_entries(lambda e: e.to_laurent(), LAURENT)
+
+
+def test_mk_block_formulas_match_qt_sum():
+    cases = [builtin(name).data() for name in ("trefoil", "figure-eight", "cinquefoil")]
+    cases += [random_seifert(seed % 5, 1 + seed % 3, seed) for seed in range(100)]
+    for data in cases:
+        assert mk_matrix(data).mk == _mk_reference(data), data
+
+
+def test_mk_presented_pairing_built_once():
+    form = mk_matrix(random_seifert(2, 3, 4))
+    pp = form.to_presented_pairing()
+    assert form.to_presented_pairing() is pp
+    e1 = basis_vector(4, 0)
+    assert mk_pairing_value(form, e1, e1) == pp.value(e1, e1)

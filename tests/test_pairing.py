@@ -229,3 +229,16 @@ def test_seifert_and_mk_pairings_carry_the_presentation_adjugate():
         data = random_seifert(genus, 3, seed)
         for b in (from_seifert(data), mk_matrix(data).to_presented_pairing()):
             assert b._adjugate == b.presentation.adjugate()
+
+
+def test_fibred_pairing_from_one_elimination():
+    # adj(t^-1 P - id) is taken as the conjugate of adj(tP - id)
+    tinv = T.conjugate()
+    p = TREFOIL_FIBRED.monodromy
+    for _ in range(4):
+        b = from_fibred(FibredData(p, TREFOIL_FIBRED.intersection))
+        assert b._adjugate == b.presentation.adjugate()
+        direct, det = (tinv * p.to_ring(LAURENT) - Matrix.identity(LAURENT, 2)).adjugate()
+        assert b._numer == TREFOIL_FIBRED.intersection.to_ring(LAURENT) * direct
+        assert b._denom == det
+        p = p * TREFOIL_FIBRED.monodromy

@@ -4,7 +4,7 @@ import random
 from blanchfield.catalog import builtin, load_entry, random_seifert
 from blanchfield.matrix import ZZ, Matrix
 from blanchfield.pairing import (SeifertData, as_laurent_vector, basis_vector,
-                                 from_seifert, kearton_value)
+                                 from_seifert, kearton_value, stabilize)
 from blanchfield.verify import (check_hermitian, check_kearton, check_mk,
                                 check_well_defined, kearton_witness,
                                 seifert_entry, verify_entry, verify_random)
@@ -21,19 +21,32 @@ def test_all_builtins_pass_their_suites():
 
 
 def test_kearton_witness_found_for_trefoil():
-    witness = kearton_witness(TREFOIL, bound=2)
+    witness = kearton_witness(TREFOIL)
     assert witness is not None
     x, j = witness
-    assert all(-2 <= c <= 2 for c in x)
+    assert sorted(x) == [0, 1]
+    result = check_kearton(TREFOIL, seifert_entry(TREFOIL))
+    assert result.passed and result.detail.startswith("WITNESS FOUND")
 
 
 def test_kearton_witness_absent_for_trivial_module():
     # a stabilized unknot has unit Alexander polynomial, so the classical
     # formula happens to be well-defined there and no witness exists
     data = SeifertData(Matrix.from_int_rows(ZZ, [[0, 1], [0, 0]]))
-    assert kearton_witness(data, bound=2) is None
+    assert kearton_witness(data) is None
     result = check_kearton(data, seifert_entry(data))
     assert result.passed and "no witness" in result.detail
+
+
+def test_kearton_check_fails_without_witness_on_nontrivial_module(monkeypatch):
+    # negative control: a search that misses the trefoil's witnesses must
+    # make the check fail rather than pass vacuously
+    import blanchfield.verify as verify
+    monkeypatch.setattr(verify, "kearton_witness", lambda data: None)
+    result = check_kearton(TREFOIL, seifert_entry(TREFOIL))
+    assert not result.passed
+    assert result.line().startswith("kearton-ill-defined: FAIL")
+    assert result.counterexample is not None
 
 
 def test_counterexamples_are_replayable():
@@ -86,8 +99,16 @@ def _kearton_witness_by_value(data, bound):
 
 
 def test_kearton_witness_matches_per_value_search():
-    cases = [TREFOIL, SeifertData(Matrix.from_int_rows(ZZ, [[0, 1], [0, 0]]))]
-    cases += [random_seifert(1, 3, seed) for seed in range(6)]
-    for data in cases:
-        for bound in (1, 2):
-            assert kearton_witness(data, bound) == _kearton_witness_by_value(data, bound)
+    unknot2 = SeifertData(Matrix.from_int_rows(ZZ, [[0, 1], [0, 0]]))
+    cases = [(TREFOIL, 2), (unknot2, 2), (stabilize(unknot2, [1, -1], "upper"), 1)]
+    cases += [(random_seifert(1, 3, seed), 2) for seed in range(6)]
+    cases += [(random_seifert(2, 1 + seed % 2, seed), 1) for seed in range(4)]
+    for data, max_bound in cases:
+        witness = kearton_witness(data)
+        for bound in range(1, max_bound + 1):
+            assert (witness is None) == (_kearton_witness_by_value(data, bound) is None)
+        if witness is not None:
+            x, j = witness
+            shifted = from_seifert(data).presentation.mul_vec(as_laurent_vector(x))
+            n = data.size
+            assert not kearton_value(data, shifted, basis_vector(n, j)).is_laurent()
