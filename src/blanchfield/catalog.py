@@ -20,7 +20,7 @@ import dataclasses
 import random
 
 from .matrix import Matrix, ZZ
-from .pairing import DualSurfaceData, FibredData, InvariantViolation, SeifertData
+from .pairing import DualSurfaceData, FibredData, SeifertData
 
 KINDS = ("seifert", "fibred", "dual-surface")
 _MATRIX_KEYS = {

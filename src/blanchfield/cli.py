@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -19,8 +18,8 @@ from .invariants import (IndeterminateSignatureError, alexander_polynomial,
                          signature_profile)
 from .laurent import LaurentPoly
 from .mkform import mk_matrix
-from .pairing import (InvariantViolation, SeifertData, as_laurent_vector,
-                      basis_vector, from_dual_surface, from_fibred, from_seifert)
+from .pairing import (InvariantViolation, SeifertData, basis_vector,
+                      from_dual_surface, from_fibred, from_seifert)
 from .verify import verify_entry, verify_random
 
 EXIT_OK = 0
@@ -109,19 +108,10 @@ def cmd_alexander(args) -> int:
 
 def cmd_pairing(args) -> int:
     entry = _resolve_entry(args.entry)
-    data = entry.data()
-    if entry.kind == "seifert":
-        pairing = from_seifert(data)
-        value = pairing.value
-        n = pairing.size
-    elif entry.kind == "fibred":
-        pairing = from_fibred(data)
-        value = pairing.value
-        n = pairing.size
-    else:
-        evaluator = from_dual_surface(data)
-        value = evaluator.value
-        n = evaluator.size
+    construct = {"seifert": from_seifert, "fibred": from_fibred,
+                 "dual-surface": from_dual_surface}[entry.kind]
+    pairing = construct(entry.data())
+    value, n = pairing.value, pairing.size
     if (args.v is None) != (args.w is None):
         raise InputError("--v and --w must be given together")
     if args.v is not None:
@@ -158,6 +148,8 @@ def cmd_signature(args) -> int:
     diagnostics: dict = {}
     if (args.z is None) == (args.samples is None):
         raise InputError("give exactly one of --z or --samples")
+    if args.samples is not None and args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
     if args.z is not None:
         z = _parse_circle_point(args.z)
         try:
@@ -196,8 +188,12 @@ def cmd_signature(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     if args.random is not None:
         genus, count = args.random
+        if genus < 0 or count < 1:
+            raise InputError(f"--random G N needs G >= 0 and N >= 1, got {genus} {count}")
         results = verify_random(genus, count, trials=args.trials,
                                 seed=args.seed)
         ref = f"--random {genus} {count}"

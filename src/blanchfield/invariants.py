@@ -18,7 +18,7 @@ import numpy as np
 
 from .laurent import LaurentPoly
 from .mkform import MKForm
-from .pairing import SeifertData, seifert_presentation
+from .pairing import SeifertData
 
 ZERO_EIGENVALUE_RTOL = 1e-9
 UNIT_CIRCLE_TOL = 1e-9
@@ -32,7 +32,7 @@ def alexander_polynomial(data: SeifertData) -> LaurentPoly:
     """det(tA - A^T), normalized so Delta(t) = Delta(1/t) and Delta(1) = 1."""
     if data.size == 0:
         return LaurentPoly.one()
-    det = seifert_presentation(data).det()
+    det = data.presentation.det()
     if det.is_zero():
         raise ArithmeticError("det(tA - A^T) vanished; A is not a Seifert matrix")
     if det.coeffs != tuple(reversed(det.coeffs)):

@@ -68,10 +68,6 @@ class Matrix:
                           for i in range(n)], cols=n)
 
     @classmethod
-    def zero(cls, ring: Ring, rows: int, cols: int) -> Matrix:
-        return cls(ring, [[ring.zero] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
     def from_int_rows(cls, ring: Ring, rows: Sequence[Sequence[int]]) -> Matrix:
         return cls(ring, [[ring.from_int(int(x)) for x in row] for row in rows])
 
@@ -81,9 +77,6 @@ class Matrix:
     def __getitem__(self, idx: tuple[int, int]):
         i, j = idx
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)

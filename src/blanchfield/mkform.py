@@ -115,9 +115,18 @@ def standard_symplectic(k: int) -> Matrix:
 
 
 class MKForm:
-    """M_K(t) together with the congruence used to standardize A - A^T."""
+    """M_K(t) together with the congruence used to standardize A - A^T.
+
+    Raises MKAssemblyError unless M_K is hermitian and nonsingular; the
+    determinant taken for that check is kept.
+    """
 
     def __init__(self, mk: Matrix, congruence: Matrix, source: SeifertData):
+        if mk.conjugate_transpose() != mk:
+            raise MKAssemblyError("assembled M_K is not hermitian")
+        self._det = mk.det()
+        if not self._det:
+            raise MKAssemblyError("assembled M_K is singular")
         self.mk = mk
         self.congruence = congruence
         self.source = source
@@ -136,16 +145,18 @@ class MKForm:
         return [[e.evaluate(z) for e in row] for row in self.mk.entries]
 
     def determinant(self) -> LaurentPoly:
-        return self.mk.det()
+        return self._det
 
     def to_presented_pairing(self) -> PresentedPairing:
         """Module Lambda^2k/M_K(t) with pairing -v^T M_K(t^-1)^{-1} conj(w),
         built on the first call and shared by later ones."""
         if self._pairing is None:
-            adj, denom = self.mk.conjugate().adjugate()
+            # adj(M_K(t^-1)) and det(M_K(t^-1)) are the conjugates of
+            # adj(M_K) and det(M_K)
+            adj, det = self.mk.adjugate()
             self._pairing = PresentedPairing(
-                self.mk, -adj, denom, "mk",
-                adjugate=(adj.conjugate(), denom.conjugate()))
+                self.mk, -adj.conjugate(), det.conjugate(), "mk",
+                adjugate=(adj, det))
         return self._pairing
 
     def pairing_value(self, v: Sequence, w: Sequence) -> QModLambda:
@@ -180,10 +191,6 @@ def mk_matrix(data: SeifertData) -> MKForm:
 
     mk = Matrix(LAURENT, [[entry(i, j) for j in range(n)] for i in range(n)],
                 cols=n)
-    if mk.conjugate_transpose() != mk:
-        raise MKAssemblyError("assembled M_K is not hermitian")
-    if n and not mk.det():
-        raise MKAssemblyError("assembled M_K is singular")
     return MKForm(mk, congruence, data)
 
 

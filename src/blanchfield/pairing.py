@@ -1,21 +1,30 @@
 """Blanchfield pairings presented by matrices.
 
-Three sources of input data are supported:
+Every pairing here is a Laurent numerator matrix N over one Laurent
+denominator d, and the value of (v, w) is the Q(t)/Z[t,t^-1] class of
+v^T N conj(w) / d.  The three sources of input data differ only in N
+and d:
 
-  * a Seifert matrix A of a knot: module Lambda^2g / (tA - A^T) with
-    pairing matrix (t-1)(A - tA^T)^{-1};
-  * monodromy and intersection matrices (P, J) of a fibred 3-manifold:
-    module Lambda^k / (tP - id) with pairing matrix J(t^{-1}P - id)^{-1};
-  * inclusion maps and intersection form of a general dual surface,
-    giving the closed form -((i+ - t^{-1} i-)^{-1} i+ v)^T J conj(w).
+  * a Seifert matrix A of a knot presents Lambda^2g / P with
+    P = tA - A^T; the pairing (t-1)(A - tA^T)^{-1} is (1-t) adj(P)^T
+    over det P;
+  * monodromy and intersection matrices (P, J) of a fibred 3-manifold
+    present Lambda^k / (tP - id); the pairing J(t^{-1}P - id)^{-1} is
+    J conj(adj(tP - id)) over conj(det(tP - id));
+  * inclusion maps and intersection form of a general dual surface give
+    the closed form -((i+ - t^{-1} i-)^{-1} i+ v)^T J conj(w), that is
+    N = -(adj(i+ - t^{-1} i-) i+)^T J over det(i+ - t^{-1} i-).
 
-All pairings take values in Q(t)/Z[t,t^-1].  The pairing matrices and
-module membership come from the adjugate over Z[t,t^-1]: v presents
-zero exactly when det(P) divides every entry of adj(P) v.
+SeifertData and FibredData build their presentation matrix and its
+fraction-free elimination (adj, det) over Z[t,t^-1] once, on first use,
+and every pairing, check and witness built from the same data object
+reads them.  Module membership uses the same adjugate: v presents zero
+exactly when det P divides every entry of adj(P) v.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from .laurent import LaurentPoly, T
@@ -43,7 +52,22 @@ def _require_skew(j: Matrix) -> None:
         raise InvariantViolation("J skew-symmetric")
 
 
-class SeifertData:
+class _PresentedData:
+    """Input data whose Alexander module has a square presentation matrix.
+
+    Subclasses define the cached property presentation; its elimination
+    is computed on first use and never changes after.
+    """
+
+    presentation: Matrix
+
+    @functools.cached_property
+    def adjugate(self) -> tuple[Matrix, LaurentPoly]:
+        """(adj P, det P) of the presentation P, from one elimination."""
+        return self.presentation.adjugate()
+
+
+class SeifertData(_PresentedData):
     """A Seifert matrix, convention a_ij = lk(d_i, d_j^+).
 
     The skew form A - A^T of a genuine Seifert matrix is unimodular
@@ -58,6 +82,12 @@ class SeifertData:
         if skew.det() != 1:
             raise InvariantViolation("A - A^T unimodular skew")
         self.matrix = matrix
+
+    @functools.cached_property
+    def presentation(self) -> Matrix:
+        """The presentation matrix tA - A^T of the Alexander module."""
+        return (T * self.matrix.to_ring(LAURENT)
+                - self.matrix.transpose().to_ring(LAURENT))
 
     @property
     def genus(self) -> int:
@@ -74,7 +104,7 @@ class SeifertData:
         return f"SeifertData({self.matrix})"
 
 
-class FibredData:
+class FibredData(_PresentedData):
     """Monodromy matrix P and intersection matrix J of a fibred 3-manifold."""
 
     def __init__(self, monodromy: Matrix, intersection: Matrix):
@@ -91,6 +121,16 @@ class FibredData:
             raise InvariantViolation("P^T J P = J")
         self.monodromy = monodromy
         self.intersection = intersection
+
+    @functools.cached_property
+    def presentation(self) -> Matrix:
+        """The presentation matrix tP - id of the Alexander module.
+
+        Its determinant has constant term det(-id) = +-1, so it never
+        vanishes.
+        """
+        return (T * self.monodromy.to_ring(LAURENT)
+                - Matrix.identity(LAURENT, self.size))
 
     @property
     def size(self) -> int:
@@ -170,27 +210,49 @@ def divides(d: LaurentPoly, x: LaurentPoly) -> bool:
     return True
 
 
+def _vectors(v: Sequence, w: Sequence, n: int) -> tuple[tuple, tuple]:
+    """Coerce two coordinate vectors to Lambda-vectors of length n."""
+    v, w = as_laurent_vector(v), as_laurent_vector(w)
+    if len(v) != n or len(w) != n:
+        raise ValueError(f"vectors must have length {n}")
+    return v, w
+
+
+def _sesquilinear(numer: Matrix, v: Sequence, w: Sequence) -> LaurentPoly:
+    """v^T numer conj(w), skipping zero coordinates of v and w."""
+    v, w = _vectors(v, w, numer.rows)
+    w_bar = [None if wj.is_zero() else wj.conjugate() for wj in w]
+    total = LaurentPoly.zero()
+    for vi, row in zip(v, numer.entries):
+        if vi.is_zero():
+            continue
+        row_acc = LaurentPoly.zero()
+        for nij, wj in zip(row, w_bar):
+            if wj is not None:
+                row_acc = row_acc + nij * wj
+        total = total + vi * row_acc
+    return total
+
+
 class PresentedPairing:
     """A nonsingular square presentation over Z[t,t^-1] plus its pairing matrix.
 
     The pairing of coordinate vectors v, w is the Q/Lambda class of
-    v^T * pairing_matrix * conj(w).  Internally the pairing matrix is
-    kept as a Laurent numerator matrix over a common Laurent
-    denominator, which keeps evaluation cheap and exact.  A caller that
-    already has (adj, det) of the presentation may pass it as adjugate;
-    otherwise it is computed on the first membership test.
+    v^T * pairing_matrix * conj(w).  The pairing matrix is kept as a
+    Laurent numerator matrix over a common Laurent denominator, which
+    keeps evaluation cheap and exact.  adjugate is (adj, det) of the
+    presentation; membership tests read it.
     """
 
     def __init__(self, presentation: Matrix, pairing_numer: Matrix,
                  pairing_denom: LaurentPoly, label: str,
-                 adjugate: tuple[Matrix, LaurentPoly] | None = None):
+                 adjugate: tuple[Matrix, LaurentPoly]):
         if presentation.ring is not LAURENT or pairing_numer.ring is not LAURENT:
             raise ValueError("presentation data must live over Z[t,t^-1]")
         if not presentation.is_square() or pairing_numer.rows != presentation.rows \
                 or not pairing_numer.is_square():
             raise ValueError("presentation and pairing matrices must be square, same size")
-        det = presentation.det() if adjugate is None else adjugate[1]
-        if presentation.rows and not det:
+        if presentation.rows and not adjugate[1]:
             raise InvariantViolation("det(presentation) != 0")
         if pairing_denom.is_zero():
             raise InvariantViolation("pairing denominator nonzero")
@@ -212,32 +274,14 @@ class PresentedPairing:
 
     def value(self, v: Sequence, w: Sequence) -> QModLambda:
         """The pairing of two coordinate vectors, reduced into Q/Lambda."""
-        v = as_laurent_vector(v)
-        w = as_laurent_vector(w)
-        if len(v) != self.size or len(w) != self.size:
-            raise ValueError(f"vectors must have length {self.size}")
-        total = LaurentPoly.zero()
-        for i, vi in enumerate(v):
-            if vi.is_zero():
-                continue
-            row_acc = LaurentPoly.zero()
-            for j, wj in enumerate(w):
-                if wj.is_zero():
-                    continue
-                row_acc = row_acc + self._numer[i, j] * wj.conjugate()
-            total = total + vi * row_acc
-        return canonical_class(RationalFunction(total, self._denom))
+        return canonical_class(RationalFunction(_sesquilinear(self._numer, v, w),
+                                                self._denom))
 
     def element_equal(self, v: Sequence, w: Sequence) -> bool:
         """Do v and w present the same element of the module?"""
-        v = as_laurent_vector(v)
-        w = as_laurent_vector(w)
-        if len(v) != self.size or len(w) != self.size:
-            raise ValueError(f"vectors must have length {self.size}")
+        v, w = _vectors(v, w, self.size)
         if self.size == 0:
             return True
-        if self._adjugate is None:
-            self._adjugate = self.presentation.adjugate()
         adj, det = self._adjugate
         x = adj.mul_vec([a - b for a, b in zip(v, w)])
         return all(divides(det, e) for e in x)
@@ -249,22 +293,16 @@ class PresentedPairing:
         return f"<PresentedPairing {self.label} n={self.size}>"
 
 
-def seifert_presentation(data: SeifertData) -> Matrix:
-    """The presentation matrix tA - A^T of the Alexander module."""
-    return T * data.matrix.to_ring(LAURENT) - data.matrix.transpose().to_ring(LAURENT)
-
-
 def from_seifert(data: SeifertData) -> PresentedPairing:
     """Blanchfield pairing of a knot from its Seifert matrix.
 
     Module Lambda^2g/(tA - A^T); pairing (v, w) -> v^T (t-1)(A - tA^T)^{-1} conj(w).
     """
-    presentation = seifert_presentation(data)
-    # A - tA^T = -P^T for P = tA - A^T, and P has even size, so one
-    # elimination gives both adj(A - tA^T) and adj(P) = -adj(A - tA^T)^T
-    adj, denom = (-presentation.transpose()).adjugate()
-    return PresentedPairing(presentation, (T - 1) * adj, denom, "seifert",
-                            adjugate=(-adj.transpose(), denom))
+    # A - tA^T = -P^T for P = tA - A^T, so (t-1)(A - tA^T)^{-1} is
+    # (1-t) adj(P)^T over det P
+    adj, det = data.adjugate
+    return PresentedPairing(data.presentation, (1 - T) * adj.transpose(), det,
+                            "seifert", adjugate=data.adjugate)
 
 
 def from_fibred(data: FibredData) -> PresentedPairing:
@@ -272,14 +310,11 @@ def from_fibred(data: FibredData) -> PresentedPairing:
 
     Module Lambda^k/(tP - id); pairing (v, w) -> v^T J (t^{-1}P - id)^{-1} conj(w).
     """
-    presentation = (T * data.monodromy.to_ring(LAURENT)
-                    - Matrix.identity(LAURENT, data.size))
-    # det(tP - id) has constant term det(-id) = +-1, so it never vanishes;
     # adj(t^-1 P - id) is the conjugate of adj(tP - id)
-    adj, det = presentation.adjugate()
-    return PresentedPairing(presentation,
+    adj, det = data.adjugate
+    return PresentedPairing(data.presentation,
                             data.intersection.to_ring(LAURENT) * adj.conjugate(),
-                            det.conjugate(), "fibred", adjugate=(adj, det))
+                            det.conjugate(), "fibred", adjugate=data.adjugate)
 
 
 class DualSurfaceEvaluator:
@@ -298,25 +333,18 @@ class DualSurfaceEvaluator:
     def __init__(self, data: DualSurfaceData):
         self.data = data
         mv = _mayer_vietoris_matrix(data.iota_plus, data.iota_minus)
-        self._adj, self._denom = mv.adjugate()
-        self._iplus = data.iota_plus.to_ring(LAURENT)
-        self._j = data.intersection.to_ring(LAURENT)
+        adj, self._denom = mv.adjugate()
+        # -(adj(mv) i+ v)^T J conj(w) = v^T N conj(w), N = -(adj(mv) i+)^T J
+        self._numer = (-(adj * data.iota_plus.to_ring(LAURENT)).transpose()
+                       * data.intersection.to_ring(LAURENT))
 
     @property
     def size(self) -> int:
         return self.data.size
 
     def value(self, v: Sequence, w: Sequence) -> QModLambda:
-        v = as_laurent_vector(v)
-        w = as_laurent_vector(w)
-        if len(v) != self.size or len(w) != self.size:
-            raise ValueError(f"vectors must have length {self.size}")
-        u = self._adj.mul_vec(self._iplus.mul_vec(v))
-        jw = self._j.mul_vec(tuple(e.conjugate() for e in w))
-        total = LaurentPoly.zero()
-        for ui, ji in zip(u, jw):
-            total = total + ui * ji
-        return canonical_class(RationalFunction(-total, self._denom))
+        return canonical_class(RationalFunction(_sesquilinear(self._numer, v, w),
+                                                self._denom))
 
 
 def from_dual_surface(data: DualSurfaceData) -> DualSurfaceEvaluator:
@@ -331,23 +359,13 @@ def kearton_value(data: SeifertData, v: Sequence, w: Sequence) -> RationalFuncti
     the value by something outside Z[t,t^-1], which is the point of the
     negative well-definedness test.
     """
-    v = as_laurent_vector(v)
-    w = as_laurent_vector(w)
-    n = data.size
-    if len(v) != n or len(w) != n:
-        raise ValueError(f"vectors must have length {n}")
     numer, denom = kearton_form(data)
-    total = LaurentPoly.zero()
-    for i, vi in enumerate(v):
-        for j, wj in enumerate(w):
-            if vi and wj:
-                total = total + vi * numer[i, j] * wj.conjugate()
-    return RationalFunction(total, denom)
+    return RationalFunction(_sesquilinear(numer, v, w), denom)
 
 
 def kearton_form(data: SeifertData) -> tuple[Matrix, LaurentPoly]:
     """(t-1) adj(tA - A^T) over det(tA - A^T): the matrix of kearton_value."""
-    adj, denom = seifert_presentation(data).adjugate()
+    adj, denom = data.adjugate
     return (T - 1) * adj, denom
 
 

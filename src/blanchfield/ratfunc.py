@@ -78,10 +78,6 @@ class RationalFunction:
         return cls(1)
 
     @classmethod
-    def from_laurent(cls, p: LaurentPoly) -> RationalFunction:
-        return cls(p)
-
-    @classmethod
     def from_fraction_polys(cls, num: Sequence[Fraction],
                             den: Sequence[Fraction]) -> RationalFunction:
         """Build from rational-coefficient polynomials, clearing denominators."""

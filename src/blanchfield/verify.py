@@ -22,7 +22,7 @@ from .mkform import mk_matrix
 from .pairing import (DualSurfaceData, DualSurfaceEvaluator, FibredData,
                       PresentedPairing, SeifertData, basis_vector, divides,
                       from_dual_surface, from_fibred, from_seifert,
-                      kearton_form, seifert_presentation)
+                      kearton_form)
 from .qmod import canonical_class
 from .ratfunc import RationalFunction
 
@@ -88,9 +88,11 @@ def check_well_defined(pairing: PresentedPairing, entry: CatalogEntry,
     return CheckResult("well-definedness", True, f"{trials} trials")
 
 
-def check_sesquilinear(pairing: PresentedPairing, entry: CatalogEntry,
-                       rng: random.Random, trials: int) -> CheckResult:
-    """value(p v, q w) = p * value(v, w) * conj(q) as classes."""
+def check_sesquilinear(pairing: PresentedPairing | DualSurfaceEvaluator,
+                       entry: CatalogEntry, rng: random.Random,
+                       trials: int) -> CheckResult:
+    """value(p v, q w) = p * value(v, w) * conj(q) as classes, and
+    value(0, w) = 0."""
     n = pairing.size
     for _ in range(trials):
         if n == 0:
@@ -104,6 +106,9 @@ def check_sesquilinear(pairing: PresentedPairing, entry: CatalogEntry,
             return CheckResult("sesquilinearity", False,
                                f"fails for p={p}, q={q}",
                                _counterexample(entry, v=v, w=w, p=(p,), q=(q,)))
+        if not pairing.value([0] * n, w).is_zero():
+            return CheckResult("sesquilinearity", False, "nonzero at v = 0",
+                               _counterexample(entry, w=w))
     return CheckResult("sesquilinearity", True, f"{trials} trials")
 
 
@@ -184,7 +189,7 @@ def kearton_witness(data: SeifertData) -> tuple[tuple[int, ...], int] | None:
     n = data.size
     numer, denom = kearton_form(data)
     # entry (j, i) is the change of the formula at x = e_i, w = e_j
-    change = numer.transpose() * seifert_presentation(data)
+    change = numer.transpose() * data.presentation
     for i in range(n):
         for j in range(n):
             if not divides(denom, change[j, i]):
@@ -203,7 +208,7 @@ def check_kearton(data: SeifertData, entry: CatalogEntry) -> CheckResult:
         x, j = witness
         return CheckResult("kearton-ill-defined", True,
                            f"WITNESS FOUND x={list(x)}, w=e{j + 1}")
-    if seifert_presentation(data).det().is_unit():
+    if data.adjugate[1].is_unit():
         return CheckResult("kearton-ill-defined", True,
                            "no witness, the Alexander module is trivial")
     return CheckResult("kearton-ill-defined", False,
@@ -221,8 +226,7 @@ def check_mk(data: SeifertData, entry: CatalogEntry, rng: random.Random,
     except (ArithmeticError, ValueError) as exc:
         return CheckResult("mk-form", False, f"assembly failed: {exc}",
                            _counterexample(entry))
-    pres_det = seifert_presentation(data).det()
-    if not form.determinant().is_unit_multiple_of(pres_det):
+    if not form.determinant().is_unit_multiple_of(data.adjugate[1]):
         return CheckResult("mk-form", False,
                            "det(M_K) is not a unit multiple of det(tA - A^T)",
                            _counterexample(entry))
@@ -252,28 +256,6 @@ def check_mk(data: SeifertData, entry: CatalogEntry, rng: random.Random,
                        f"hermitian, det matches, {z_samples} signature samples")
 
 
-def check_dual_sesquilinear(dual: DualSurfaceEvaluator, entry: CatalogEntry,
-                            rng: random.Random, trials: int) -> CheckResult:
-    """The closed-form evaluator is sesquilinear as a map to Q/Lambda."""
-    n = dual.size
-    for _ in range(trials):
-        if n == 0:
-            break
-        v, w = random_vector(rng, n), random_vector(rng, n)
-        p, q = random_laurent(rng), random_laurent(rng)
-        lhs = dual.value(tuple(p * e for e in v), tuple(q * e for e in w))
-        rhs = canonical_class(dual.value(v, w).representative()
-                              * RationalFunction(p * q.conjugate()))
-        if lhs != rhs:
-            return CheckResult("sesquilinearity", False, f"fails for p={p}, q={q}",
-                               _counterexample(entry, v=v, w=w))
-        zero = tuple(LaurentPoly.zero() for _ in range(n))
-        if not dual.value(zero, w).is_zero():
-            return CheckResult("sesquilinearity", False, "nonzero at v = 0",
-                               _counterexample(entry, w=w))
-    return CheckResult("sesquilinearity", True, f"{trials} trials")
-
-
 def check_fibred_specialization(data: FibredData, entry: CatalogEntry) -> CheckResult:
     """Dual-surface evaluator with (P, id, J) matches the fibred pairing
     on all generator pairs."""
@@ -296,26 +278,18 @@ def verify_entry(entry: CatalogEntry, trials: int = 25,
     """Run the full property suite appropriate to the entry's kind."""
     rng = random.Random(seed)
     data = entry.data()
-    results: list[CheckResult] = []
+    if isinstance(data, DualSurfaceData):
+        return [check_sesquilinear(from_dual_surface(data), entry, rng, trials)]
+    pairing = from_seifert(data) if isinstance(data, SeifertData) else from_fibred(data)
+    results = [check(pairing, entry, rng, trials)
+               for check in (check_well_defined, check_sesquilinear,
+                             check_hermitian, check_nonsingular)]
     if isinstance(data, SeifertData):
-        pairing = from_seifert(data)
-        results.append(check_well_defined(pairing, entry, rng, trials))
-        results.append(check_sesquilinear(pairing, entry, rng, trials))
-        results.append(check_hermitian(pairing, entry, rng, trials))
-        results.append(check_nonsingular(pairing, entry, rng, trials))
         results.append(check_consistency(data, entry, rng, trials))
         results.append(check_mk(data, entry, rng))
         results.append(check_kearton(data, entry))
-    elif isinstance(data, FibredData):
-        pairing = from_fibred(data)
-        results.append(check_well_defined(pairing, entry, rng, trials))
-        results.append(check_sesquilinear(pairing, entry, rng, trials))
-        results.append(check_hermitian(pairing, entry, rng, trials))
-        results.append(check_nonsingular(pairing, entry, rng, trials))
-        results.append(check_fibred_specialization(data, entry))
     else:
-        dual = from_dual_surface(data)
-        results.append(check_dual_sesquilinear(dual, entry, rng, trials))
+        results.append(check_fibred_specialization(data, entry))
     return results
 
 

@@ -169,3 +169,16 @@ def test_unknown_entry_exit_2(capsys):
     code, _, err = run(capsys, "alexander", "granny")
     assert code == 2
     assert "granny" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("signature", "trefoil", "--samples", "0"), "--samples"),
+    (("verify", "--random", "-1", "2"), "--random"),
+    (("verify", "--random", "1", "0"), "--random"),
+    (("verify", "--random", "1", "2", "--trials", "-1"), "--trials"),
+])
+def test_out_of_range_counts_are_input_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err

@@ -120,6 +120,7 @@ def test_mk_random_entries_hermitian_det():
         form = mk_matrix(data)
         assert form.mk.conjugate_transpose() == form.mk
         pres_det = from_seifert(data).presentation.det()
+        assert form.determinant() == form.mk.det()
         assert form.determinant().is_unit_multiple_of(pres_det)
         # congruence really standardizes the skew part
         skew = data.matrix - data.matrix.transpose()
@@ -158,5 +159,8 @@ def test_mk_presented_pairing_built_once():
     form = mk_matrix(random_seifert(2, 3, 4))
     pp = form.to_presented_pairing()
     assert form.to_presented_pairing() is pp
+    # the numerator is -adj(M_K(t^-1)), taken as the conjugate of -adj(M_K)
+    adj, det = form.mk.conjugate().adjugate()
+    assert pp._numer == -adj and pp._denom == det
     e1 = basis_vector(4, 0)
     assert mk_pairing_value(form, e1, e1) == pp.value(e1, e1)

@@ -242,3 +242,36 @@ def test_fibred_pairing_from_one_elimination():
         assert b._numer == TREFOIL_FIBRED.intersection.to_ring(LAURENT) * direct
         assert b._denom == det
         p = p * TREFOIL_FIBRED.monodromy
+
+
+def _dual_value_reference(data, v, w):
+    # the closed form -((i+ - t^-1 i-)^{-1} i+ v)^T J conj(w) as two
+    # matrix-vector products against adj(i+ - t^-1 i-) over its det
+    iplus = data.iota_plus.to_ring(LAURENT)
+    mv = iplus - T.conjugate() * data.iota_minus.to_ring(LAURENT)
+    adj, det = mv.adjugate()
+    u = adj.mul_vec(iplus.mul_vec(as_laurent_vector(v)))
+    jw = data.intersection.to_ring(LAURENT).mul_vec(
+        tuple(e.conjugate() for e in as_laurent_vector(w)))
+    total = LaurentPoly.zero()
+    for ui, ji in zip(u, jw):
+        total = total + ui * ji
+    return canonical_class(RF(-total, det))
+
+
+def test_dual_surface_matches_two_product_formula():
+    rng = random.Random(13)
+    cases = [DualSurfaceData(TREFOIL_FIBRED.monodromy, Matrix.identity(ZZ, 2),
+                             TREFOIL_FIBRED.intersection)]
+    for genus in (1, 2, 3):
+        for seed in range(3):
+            a = random_seifert(genus, 3, 10 * genus + seed).matrix
+            cases.append(DualSurfaceData(a, a.transpose(), a - a.transpose()))
+    for data in cases:
+        dual = from_dual_surface(data)
+        n = dual.size
+        pairs = [(basis_vector(n, i), basis_vector(n, j))
+                 for i in range(n) for j in range(n)]
+        pairs += [(random_vector(rng, n), random_vector(rng, n)) for _ in range(3)]
+        for v, w in pairs:
+            assert dual.value(v, w) == _dual_value_reference(data, v, w)

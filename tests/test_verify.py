@@ -1,8 +1,11 @@
 import itertools
 import random
 
+import pytest
+
 from blanchfield.catalog import builtin, load_entry, random_seifert
-from blanchfield.matrix import ZZ, Matrix
+from blanchfield.laurent import T
+from blanchfield.matrix import LAURENT, ZZ, Matrix
 from blanchfield.pairing import (SeifertData, as_laurent_vector, basis_vector,
                                  from_seifert, kearton_value, stabilize)
 from blanchfield.verify import (check_hermitian, check_kearton, check_mk,
@@ -112,3 +115,46 @@ def test_kearton_witness_matches_per_value_search():
             shifted = from_seifert(data).presentation.mul_vec(as_laurent_vector(x))
             n = data.size
             assert not kearton_value(data, shifted, basis_vector(n, j)).is_laurent()
+
+
+def _count_eliminations(monkeypatch):
+    # every Matrix.adjugate call, and every determinant over Z[t,t^-1]
+    adjugates, dets = [], []
+    adjugate, det = Matrix.adjugate, Matrix.det
+
+    def counting_adjugate(self):
+        adjugates.append(self)
+        return adjugate(self)
+
+    def counting_det(self):
+        if self.ring is LAURENT:
+            dets.append(self)
+        return det(self)
+
+    monkeypatch.setattr(Matrix, "adjugate", counting_adjugate)
+    monkeypatch.setattr(Matrix, "det", counting_det)
+    return adjugates, dets
+
+
+@pytest.mark.parametrize("entry", [
+    builtin("trefoil"), builtin("cinquefoil"),
+    seifert_entry(random_seifert(3, 3, 5), "random-3-5")], ids=lambda e: e.name)
+def test_seifert_verify_eliminates_presentation_once(monkeypatch, entry):
+    a = entry.data().matrix.to_ring(LAURENT)
+    presentation = T * a - a.transpose()
+    dual_mv = a - T.conjugate() * a.transpose()
+    adjugates, dets = _count_eliminations(monkeypatch)
+    assert all(r.passed for r in verify_entry(entry, trials=3, seed=1))
+    # tA - A^T once, plus the independent dual-surface cross-check
+    assert adjugates == [presentation, dual_mv]
+    # the dual surface's nonsingularity check and M_K's
+    assert len(dets) == 2
+
+
+def test_fibred_verify_eliminates_presentation_once(monkeypatch):
+    entry = builtin("trefoil-fibred")
+    p = entry.data().monodromy.to_ring(LAURENT)
+    eye = Matrix.identity(LAURENT, p.rows)
+    adjugates, _ = _count_eliminations(monkeypatch)
+    assert all(r.passed for r in verify_entry(entry, trials=3, seed=1))
+    assert adjugates == [T * p - eye, p - T.conjugate() * eye]
