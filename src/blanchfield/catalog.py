@@ -7,26 +7,29 @@ The on-disk format is line-oriented UTF-8 text:
     A: [[-1, 1], [0, -1]]
 
 Fibred entries carry ``P:`` and ``J:``, dual-surface entries carry
-``Iplus:``, ``Iminus:`` and ``J:``.  Integers are decimal with an
-optional leading minus; rows are comma-separated; whitespace is
-insignificant outside tokens.  An optional ``notes:`` line holds free
-text.  Matrices are validated against the domain invariants at load
-time.
+``Iplus:``, ``Iminus:`` and ``J:``.  Integers are decimal digits 0-9
+with an optional leading minus; any other digit is rejected with its
+line and column.  Rows are comma-separated; whitespace is insignificant
+outside tokens.  An optional ``notes:`` line holds free text.  Matrices
+are validated against the domain invariants at load time, and the
+validated data object is kept on the entry.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
+import re
 
 from .matrix import Matrix, ZZ
 from .pairing import DualSurfaceData, FibredData, SeifertData
 
-KINDS = ("seifert", "fibred", "dual-surface")
-_MATRIX_KEYS = {
-    "seifert": ("A",),
-    "fibred": ("P", "J"),
-    "dual-surface": ("Iplus", "Iminus", "J"),
+# kind -> (data class, its matrix keys in constructor order)
+KINDS = {
+    "seifert": (SeifertData, ("A",)),
+    "fibred": (FibredData, ("P", "J")),
+    "dual-surface": (DualSurfaceData, ("Iplus", "Iminus", "J")),
 }
 
 IntGrid = tuple[tuple[int, ...], ...]
@@ -55,145 +58,105 @@ class CatalogEntry:
         raise KeyError(key)
 
     def data(self) -> SeifertData | FibredData | DualSurfaceData:
-        """Construct (and thereby validate) the typed input data."""
-        if self.kind == "seifert":
-            return SeifertData(self.matrix("A"))
-        if self.kind == "fibred":
-            return FibredData(self.matrix("P"), self.matrix("J"))
-        if self.kind == "dual-surface":
-            return DualSurfaceData(self.matrix("Iplus"), self.matrix("Iminus"),
-                                   self.matrix("J"))
-        raise ValueError(f"unknown kind {self.kind!r}")
+        """The typed input data, built (and thereby validated) on the first
+        call; later calls return the same object."""
+        return self._data
+
+    @functools.cached_property
+    def _data(self) -> SeifertData | FibredData | DualSurfaceData:
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown kind {self.kind!r}")
+        cls, keys = KINDS[self.kind]
+        return cls(*map(self.matrix, keys))
 
 
-class _Scanner:
+_SPACE = re.compile(r"\s*")
+_KEY = re.compile(r"[\w-]*")
+_INT = re.compile(r"-?[0-9]*")
+_LINE = re.compile(r"[^\n]*")
+
+
+class _Reader:
+    """A position in entry text, advanced by whole tokens."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
-    def location(self, pos: int | None = None) -> tuple[int, int]:
-        pos = self.pos if pos is None else pos
-        line = self.text.count("\n", 0, pos) + 1
-        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return line, col
+    def take(self, pattern: re.Pattern) -> str:
+        match = pattern.match(self.text, self.pos)
+        self.pos = match.end()
+        return match.group()
+
+    def peek(self) -> str:
+        """Skip whitespace; the next character, or "" at the end."""
+        self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[self.pos:self.pos + 1]
 
     def error(self, message: str) -> EntryParseError:
-        line, col = self.location()
-        return EntryParseError(message, line, col)
+        line = self.text.count("\n", 0, self.pos) + 1
+        return EntryParseError(message, line, self.pos - self.text.rfind("\n", 0, self.pos))
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+    def expect(self, ch: str, context: str = "") -> None:
+        if self.peek() != ch:
+            raise self.error(f"expected {ch!r}{context}")
+        self.pos += 1
 
     def read_key(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] in "-_"):
-            self.pos += 1
-        if self.pos == start:
+        self.peek()
+        key = self.take(_KEY)
+        if not key:
             raise self.error("expected a field name")
-        key = self.text[start:self.pos]
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ":":
-            raise self.error(f"expected ':' after field name {key!r}")
-        self.pos += 1
+        self.expect(":", f" after field name {key!r}")
         return key
 
-    def read_line_value(self) -> str:
-        end = self.text.find("\n", self.pos)
-        if end == -1:
-            end = len(self.text)
-        value = self.text[self.pos:end].strip()
-        self.pos = end
-        return value
-
     def read_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        token = self.text[start:self.pos]
-        if not token or token == "-":
+        self.peek()
+        token = self.take(_INT)
+        if token in ("", "-"):
             raise self.error("expected an integer")
         return int(token)
 
-    def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def read_matrix(self) -> IntGrid:
+    def read_list(self, item) -> tuple:
+        """[item, item, ...], possibly empty."""
         self.expect("[")
-        if self.peek() == "]":
-            self.pos += 1
-            return ()
-        rows: list[tuple[int, ...]] = []
-        while True:
-            rows.append(self._read_row())
-            if self.peek() == ",":
+        items = []
+        if self.peek() != "]":
+            items.append(item())
+            while self.peek() == ",":
                 self.pos += 1
-                continue
-            self.expect("]")
-            break
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise self.error("rows of unequal length")
-        return tuple(rows)
-
-    def _read_row(self) -> tuple[int, ...]:
-        self.expect("[")
-        if self.peek() == "]":
-            self.pos += 1
-            return ()
-        row = [self.read_int()]
-        while self.peek() == ",":
-            self.pos += 1
-            row.append(self.read_int())
+                items.append(item())
         self.expect("]")
-        return tuple(row)
+        return tuple(items)
 
 
 def load_entry(data: bytes | str) -> CatalogEntry:
     """Parse and invariant-check one entry."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    sc = _Scanner(text)
-    name: str | None = None
-    kind: str | None = None
-    notes = ""
+    reader = _Reader(text)
+    fields: dict[str, str] = {"notes": ""}
     matrices: dict[str, IntGrid] = {}
-    while not sc.at_end():
-        key = sc.read_key()
-        if key == "name":
-            name = sc.read_line_value()
-        elif key == "notes":
-            notes = sc.read_line_value()
-        elif key == "kind":
-            kind = sc.read_line_value()
-            if kind not in KINDS:
-                raise sc.error(f"kind must be one of {', '.join(KINDS)}, got {kind!r}")
-        elif key in ("A", "P", "J", "Iplus", "Iminus"):
+    while reader.peek():
+        key = reader.read_key()
+        if key in ("name", "notes", "kind"):
+            fields[key] = reader.take(_LINE).strip()
+            if key == "kind" and fields[key] not in KINDS:
+                raise reader.error(f"kind must be one of {', '.join(KINDS)}, "
+                                   f"got {fields[key]!r}")
+        elif any(key in keys for _, keys in KINDS.values()):
             if key in matrices:
-                raise sc.error(f"duplicate matrix {key!r}")
-            matrices[key] = sc.read_matrix()
+                raise reader.error(f"duplicate matrix {key!r}")
+            rows = reader.read_list(lambda: reader.read_list(reader.read_int))
+            if any(len(r) != len(rows[0]) for r in rows):
+                raise reader.error("rows of unequal length")
+            matrices[key] = rows
         else:
-            raise sc.error(f"unknown field {key!r}")
-    if name is None:
-        raise EntryParseError("missing 'name' field", 1, 1)
-    if kind is None:
-        raise EntryParseError("missing 'kind' field", 1, 1)
-    wanted = _MATRIX_KEYS[kind]
+            raise reader.error(f"unknown field {key!r}")
+    for key in ("name", "kind"):
+        if key not in fields:
+            raise EntryParseError(f"missing {key!r} field", 1, 1)
+    kind = fields["kind"]
+    wanted = KINDS[kind][1]
     for key in wanted:
         if key not in matrices:
             raise EntryParseError(f"kind {kind} requires matrix {key!r}", 1, 1)
@@ -201,9 +164,9 @@ def load_entry(data: bytes | str) -> CatalogEntry:
     if extra:
         raise EntryParseError(
             f"kind {kind} does not use matrix {sorted(extra)[0]!r}", 1, 1)
-    entry = CatalogEntry(name=name, kind=kind,
+    entry = CatalogEntry(name=fields["name"], kind=kind,
                          matrices=tuple((k, matrices[k]) for k in wanted),
-                         notes=notes)
+                         notes=fields["notes"])
     entry.data()  # raises InvariantViolation naming the failed invariant
     return entry
 
@@ -220,7 +183,7 @@ def render_entry(entry: CatalogEntry) -> str:
 
 
 def _entry(name: str, kind: str, notes: str = "", **mats) -> CatalogEntry:
-    order = _MATRIX_KEYS[kind]
+    order = KINDS[kind][1]
     grids = tuple((k, tuple(tuple(int(x) for x in row) for row in mats[k]))
                   for k in order)
     return CatalogEntry(name=name, kind=kind, matrices=grids, notes=notes)

@@ -37,7 +37,7 @@ def alexander_polynomial(data: SeifertData) -> LaurentPoly:
         raise ArithmeticError("det(tA - A^T) vanished; A is not a Seifert matrix")
     if det.coeffs != tuple(reversed(det.coeffs)):
         raise ArithmeticError("det(tA - A^T) is not palindromic; invalid input")
-    center = det.valuation() + det.degree()
+    center = det.val + det.degree()
     if center % 2:
         raise ArithmeticError("cannot center det(tA - A^T) by a unit")
     delta = det * LaurentPoly.t_power(-(center // 2))
@@ -49,6 +49,8 @@ def alexander_polynomial(data: SeifertData) -> LaurentPoly:
 
 def _check_circle_point(z: complex) -> complex:
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"z = {z} is not a finite complex number")
     if abs(abs(z) - 1) > UNIT_CIRCLE_TOL:
         raise ValueError(f"z = {z} does not lie on the unit circle")
     if z == 1:

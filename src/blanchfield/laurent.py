@@ -60,9 +60,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_one(self) -> bool:
-        return self.val == 0 and self.coeffs == (1,)
-
     def is_unit(self) -> bool:
         """True for +-t^k, the units of Z[t, t^-1]."""
         return self.coeffs in ((1,), (-1,))
@@ -70,9 +67,6 @@ class LaurentPoly:
     def degree(self) -> int:
         """Top exponent; garbage (-1) for zero."""
         return self.val + len(self.coeffs) - 1
-
-    def valuation(self) -> int:
-        return self.val
 
     def coefficient(self, exp: int) -> int:
         i = exp - self.val

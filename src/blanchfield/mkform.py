@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .laurent import LaurentPoly, T
 from .matrix import LAURENT, ZZ, Matrix
-from .pairing import PresentedPairing, SeifertData, as_laurent_vector
+from .pairing import PresentedPairing, SeifertData
 from .qmod import QModLambda
 
 
@@ -136,10 +136,6 @@ class MKForm:
     def size(self) -> int:
         return self.mk.rows
 
-    @property
-    def half_size(self) -> int:
-        return self.mk.rows // 2
-
     def evaluate(self, z: complex) -> list[list[complex]]:
         """Numerical matrix M_K(z)."""
         return [[e.evaluate(z) for e in row] for row in self.mk.entries]
@@ -196,4 +192,4 @@ def mk_matrix(data: SeifertData) -> MKForm:
 
 def mk_pairing_value(form: MKForm, v: Sequence, w: Sequence) -> QModLambda:
     """Class of -v^T (M_K(t^-1))^{-1} conj(w) in Q/Lambda."""
-    return form.pairing_value(as_laurent_vector(v), as_laurent_vector(w))
+    return form.pairing_value(v, w)

@@ -15,10 +15,12 @@ and d:
     the closed form -((i+ - t^{-1} i-)^{-1} i+ v)^T J conj(w), that is
     N = -(adj(i+ - t^{-1} i-) i+)^T J over det(i+ - t^{-1} i-).
 
-SeifertData and FibredData build their presentation matrix and its
-fraction-free elimination (adj, det) over Z[t,t^-1] once, on first use,
-and every pairing, check and witness built from the same data object
-reads them.  Module membership uses the same adjugate: v presents zero
+SeifertData, FibredData and DualSurfaceData build their presentation
+matrix (tA - A^T, tP - id, i+ - t^{-1} i-) and its fraction-free
+elimination (adj, det) over Z[t,t^-1] once, on first use (for
+DualSurfaceData at construction, as its nonsingularity check), and
+every pairing, check and witness built from the same data object reads
+them.  Module membership uses the same adjugate: v presents zero
 exactly when det P divides every entry of adj(P) v.
 """
 
@@ -28,7 +30,7 @@ import functools
 from typing import Sequence
 
 from .laurent import LaurentPoly, T
-from .matrix import LAURENT, QT, ZZ, Matrix
+from .matrix import LAURENT, QT, ZZ, Matrix, SingularMatrixError
 from .qmod import QModLambda, canonical_class
 from .ratfunc import RationalFunction
 
@@ -142,7 +144,7 @@ class FibredData(_PresentedData):
                 and self.intersection == other.intersection)
 
 
-class DualSurfaceData:
+class DualSurfaceData(_PresentedData):
     """Inclusion maps i+, i- and intersection form J for a dual surface.
 
     The Mayer-Vietoris condition that i+ - t^{-1} i- be invertible over
@@ -160,12 +162,23 @@ class DualSurfaceData:
         _require_skew(intersection)
         if intersection.rows != iota_plus.cols:
             raise InvariantViolation("J size matches iota domain")
-        mv = _mayer_vietoris_matrix(iota_plus, iota_minus)
-        if not mv.det():
-            raise InvariantViolation("Iplus - t^-1 Iminus nonsingular")
         self.iota_plus = iota_plus
         self.iota_minus = iota_minus
         self.intersection = intersection
+        try:
+            self.adjugate
+        except SingularMatrixError:
+            raise InvariantViolation("Iplus - t^-1 Iminus nonsingular") from None
+
+    @functools.cached_property
+    def presentation(self) -> Matrix:
+        """The Mayer-Vietoris matrix i+ - t^-1 i-.
+
+        It presents the Alexander module: it is t^-1 (tA - A^T) for
+        (A, A^T) and t^-1 (tP - id) for (P, id).
+        """
+        return (self.iota_plus.to_ring(LAURENT)
+                - T.conjugate() * self.iota_minus.to_ring(LAURENT))
 
     @property
     def size(self) -> int:
@@ -176,11 +189,6 @@ class DualSurfaceData:
                 and self.iota_plus == other.iota_plus
                 and self.iota_minus == other.iota_minus
                 and self.intersection == other.intersection)
-
-
-def _mayer_vietoris_matrix(iplus: Matrix, iminus: Matrix) -> Matrix:
-    tinv = LaurentPoly(-1, (1,))
-    return iplus.to_ring(LAURENT) - tinv * iminus.to_ring(LAURENT)
 
 
 def as_laurent_vector(v: Sequence) -> tuple[LaurentPoly, ...]:
@@ -332,9 +340,8 @@ class DualSurfaceEvaluator:
 
     def __init__(self, data: DualSurfaceData):
         self.data = data
-        mv = _mayer_vietoris_matrix(data.iota_plus, data.iota_minus)
-        adj, self._denom = mv.adjugate()
-        # -(adj(mv) i+ v)^T J conj(w) = v^T N conj(w), N = -(adj(mv) i+)^T J
+        adj, self._denom = data.adjugate
+        # -(adj i+ v)^T J conj(w) = v^T N conj(w) with N = -(adj i+)^T J
         self._numer = (-(adj * data.iota_plus.to_ring(LAURENT)).transpose()
                        * data.intersection.to_ring(LAURENT))
 

@@ -85,14 +85,6 @@ class RationalFunction:
         dd, d = _polyops.clear_denominators(tuple(Fraction(c) for c in den))
         return cls(_polyops.scale(n, dd), _polyops.scale(d, dn))
 
-    @property
-    def numerator(self) -> LaurentPoly:
-        return LaurentPoly(0, self.num)
-
-    @property
-    def denominator(self) -> LaurentPoly:
-        return LaurentPoly(0, self.den)
-
     def is_zero(self) -> bool:
         return not self.num
 

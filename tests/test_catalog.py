@@ -53,6 +53,27 @@ def test_parse_errors_carry_position():
         load_entry("name: x\nkind: fibred\nP: [[1]]\n")
 
 
+def test_non_ascii_digits_are_parse_errors():
+    # integers are written with 0-9 only, though str.isdigit() accepts ² and ٣
+    with pytest.raises(EntryParseError) as exc:
+        load_entry("name: x\nkind: seifert\nA: [[²]]\n")
+    assert (exc.value.line, exc.value.col) == (3, 6)
+    with pytest.raises(EntryParseError, match="line 3, column 9: expected an integer"):
+        load_entry("name: x\nkind: seifert\nA: [[1, \u0663]]\n")
+
+
+def test_data_is_validated_once(monkeypatch):
+    built = []
+    init = SeifertData.__init__
+    monkeypatch.setattr(SeifertData, "__init__",
+                        lambda self, m: built.append(m) or init(self, m))
+    entry = load_entry(TREFOIL_TEXT)
+    assert entry.data() is entry.data()
+    assert len(built) == 1
+    assert entry == CatalogEntry("trefoil", "seifert", (("A", ((-1, 1), (0, -1))),))
+    with pytest.raises(ValueError, match="unknown kind 'torus'"):
+        CatalogEntry("x", "torus", ()).data()
+
 def test_round_trip_builtins():
     for entry in builtin_catalog():
         assert load_entry(render_entry(entry)) == entry

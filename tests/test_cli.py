@@ -182,3 +182,11 @@ def test_out_of_range_counts_are_input_errors(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("z", ["theta:nan", "theta:inf", "nan"])
+def test_non_finite_z_is_input_error(capsys, z):
+    code, out, err = run(capsys, "signature", "trefoil", "--z", z)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
