@@ -112,10 +112,15 @@ class _Reader:
 
     def read_int(self) -> int:
         self.peek()
+        start = self.pos
         token = self.take(_INT)
         if token in ("", "-"):
             raise self.error("expected an integer")
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:  # past the interpreter's digit limit for int()
+            self.pos = start
+            raise self.error(f"integer of {len(token.lstrip('-'))} digits is too long") from None
 
     def read_list(self, item) -> tuple:
         """[item, item, ...], possibly empty."""

@@ -28,18 +28,21 @@ class LaurentPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, val: int = 0, coeffs: Sequence[int] = ()):
+        p = LaurentPoly._of(val, coeffs)
+        self.val, self.coeffs = p.val, tuple(int(c) for c in p.coeffs)
+
+    @classmethod
+    def _of(cls, val: int, coeffs: Sequence[int]) -> LaurentPoly:
+        """The constructor without its int() coercion, for coefficients
+        that are ints already, as arithmetic results are."""
         lo, hi = 0, len(coeffs)
         while lo < hi and coeffs[lo] == 0:
             lo += 1
-            val += 1
         while lo < hi and coeffs[hi - 1] == 0:
             hi -= 1
-        if lo == hi:
-            self.val = 0
-            self.coeffs = ()
-        else:
-            self.val = val
-            self.coeffs = tuple(int(c) for c in coeffs[lo:hi])
+        p = object.__new__(cls)
+        p.val, p.coeffs = (val + lo, tuple(coeffs[lo:hi])) if lo < hi else (0, ())
+        return p
 
     @classmethod
     def zero(cls) -> LaurentPoly:
@@ -78,37 +81,41 @@ class LaurentPoly:
         return bool(self.coeffs)
 
     def __add__(self, other: int | LaurentPoly) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly(0, (other,))
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        lo = min(self.val, other.val)
-        hi = max(self.val + len(self.coeffs), other.val + len(other.coeffs))
-        out = [0] * max(0, hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.val + i - lo] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.val + i - lo] += c
-        return LaurentPoly(lo, out)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.val, tuple(-c for c in self.coeffs))
+        return LaurentPoly._of(self.val, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: int | LaurentPoly) -> LaurentPoly:
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other: int | LaurentPoly) -> LaurentPoly:
         return (-self) + other
 
-    def __mul__(self, other: int | LaurentPoly) -> LaurentPoly:
+    def _combine(self, other: int | LaurentPoly, sign: int) -> LaurentPoly:
+        """self + sign * other in one pass, for sign = +-1."""
         if isinstance(other, int):
-            return LaurentPoly(self.val, tuple(c * other for c in self.coeffs))
+            other = LaurentPoly._of(0, (int(other),))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return LaurentPoly(self.val + other.val,
-                           _polyops.mul(self.coeffs, other.coeffs))
+        lo = min(self.val, other.val)
+        hi = max(self.val + len(self.coeffs), other.val + len(other.coeffs))
+        out = [0] * (hi - lo)
+        start = self.val - lo
+        out[start:start + len(self.coeffs)] = self.coeffs
+        for i, c in enumerate(other.coeffs, other.val - lo):
+            out[i] += sign * c
+        return LaurentPoly._of(lo, out)
+
+    def __mul__(self, other: int | LaurentPoly) -> LaurentPoly:
+        if isinstance(other, int):
+            return LaurentPoly._of(self.val, tuple(c * other for c in self.coeffs))
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return LaurentPoly._of(self.val + other.val,
+                               _polyops.mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -116,7 +123,7 @@ class LaurentPoly:
         if n < 0:
             if not self.is_unit():
                 raise ValueError("only units +-t^k can be inverted in Z[t,t^-1]")
-            return LaurentPoly(-self.val, self.coeffs) ** (-n)
+            return LaurentPoly._of(-self.val, self.coeffs) ** (-n)
         out = LaurentPoly.one()
         base = self
         while n:
@@ -130,8 +137,8 @@ class LaurentPoly:
         """Apply the ring involution t -> t^-1."""
         if not self.coeffs:
             return self
-        return LaurentPoly(-(self.val + len(self.coeffs) - 1),
-                           tuple(reversed(self.coeffs)))
+        return LaurentPoly._of(-(self.val + len(self.coeffs) - 1),
+                               tuple(reversed(self.coeffs)))
 
     def exact_div(self, other: LaurentPoly) -> LaurentPoly:
         """Divide by an exact divisor; raises ArithmeticError otherwise."""
@@ -140,7 +147,7 @@ class LaurentPoly:
         if self.is_zero():
             return self
         q = _polyops.div_exact(self.coeffs, other.coeffs)
-        return LaurentPoly(self.val - other.val, q)
+        return LaurentPoly._of(self.val - other.val, q)
 
     def is_unit_multiple_of(self, other: LaurentPoly) -> bool:
         """True when self = +-t^k * other."""

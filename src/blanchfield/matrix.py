@@ -1,14 +1,29 @@
 """Exact dense linear algebra over Z, Z[t,t^-1] and Q(t).
 
-Determinants and adjugates use fraction-free (Bareiss) elimination over
-the matrix's own ring, so no fractions arise over Z or Z[t,t^-1];
-callers keep adj/det rather than an inverse.  Matrices are immutable
-and 0x0 matrices are legal (the Seifert matrix of the unknot).
+Determinants and adjugates use fraction-free (Bareiss) elimination, so
+no fractions arise over Z or Z[t,t^-1]; callers keep adj/det rather
+than an inverse.  Matrices are immutable and 0x0 matrices are legal
+(the Seifert matrix of the unknot).
+
+Over Z[t,t^-1] the elimination runs on integers (Kronecker
+substitution): each row is shifted by a power of t to a polynomial row,
+each entry is packed as its value at t = 2^B, the integer matrix is
+eliminated, and each result is read back as its signed base-2^B digits
+with the shifts undone.  B is the bit length of the product of the row
+coefficient 1-norms of [M | I], plus 2.  Every entry Bareiss forms is a
+minor of [M | I], with coefficients below 2^(B-2), so it vanishes at
+2^B only if it is zero and its digits give it back: the integer run
+makes the same pivot choices and row swaps, raises SingularMatrixError
+at the same column, and returns the same (adj, det) as Bareiss over
+Z[t,t^-1].  B grows like n log(n (d + 1) max|coefficient|) for an
+n x n matrix whose rows span d + 1 powers of t, and the integers have at
+most about (n d + 1) B bits, so the cost stays polynomial in the input.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Sequence
 
 from .laurent import LaurentPoly
@@ -146,10 +161,9 @@ class Matrix:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         try:
-            _, sign, d = self._bareiss(self.entries, jordan=False)
+            return self._eliminate(jordan=False)[1]
         except SingularMatrixError:
             return self.ring.zero
-        return d if sign > 0 else -d
 
     def adjugate(self) -> tuple[Matrix, object]:
         """(adj M, det M) by fraction-free Gauss-Jordan on [M | I].
@@ -157,16 +171,38 @@ class Matrix:
         The row operations turn [M | I] into [d I | d M^-1] with
         d = +-det M, and d M^-1 = +-adj M.  Raises SingularMatrixError
         when a pivot column is zero.
+
+        Over Z[t,t^-1] it eliminates the integer matrix M(2^B), rows
+        shifted to polynomials, with B as in the module docstring: every
+        minor of [M | I] has coefficients below 2^(B-2), so the integer
+        run is exact, and B grows like n log(n max|coefficient|).
+
+        The trefoil's presentation matrix tA - A^T:
+
+        >>> a = Matrix.from_int_rows(ZZ, [[-1, 1], [0, -1]])
+        >>> t = LaurentPoly.t_power(1)
+        >>> adj, det = (t * a.to_ring(LAURENT) - a.transpose().to_ring(LAURENT)).adjugate()
+        >>> print(adj, det)
+        [[-t + 1, -t], [1, -t + 1]] t^2 - t + 1
         """
         if not self.is_square():
             raise ValueError("adjugate of a non-square matrix")
+        adj, d = self._eliminate(jordan=True)
+        return Matrix(self.ring, adj, cols=self.rows), d
+
+    def _eliminate(self, jordan: bool) -> tuple[list[list], object]:
+        """(rows of adj M, det M) by _bareiss on [M | I]; without jordan,
+        on M alone, and the adjugate rows are empty."""
+        if self.ring is LAURENT:
+            return _kronecker_eliminate(self, jordan)
         n = self.rows
         one, zero = self.ring.one, self.ring.zero
         m, sign, d = self._bareiss(
-            [list(row) + [one if i == j else zero for j in range(n)]
-             for i, row in enumerate(self.entries)], jordan=True)
-        adj = Matrix(self.ring, [row[n:] for row in m], cols=n)
-        return (adj, d) if sign > 0 else (-adj, -d)
+            [list(row) + ([one if i == j else zero for j in range(n)] if jordan else [])
+             for i, row in enumerate(self.entries)], jordan)
+        if sign > 0:
+            return [row[n:] for row in m], d
+        return [[-e for e in row[n:]] for row in m], -d
 
     def _bareiss(self, rows: Sequence[Sequence], jordan: bool):
         """Bareiss (1968) elimination of the square part of [self | extra].
@@ -184,7 +220,7 @@ class Matrix:
         for k in range(n):
             piv = next((i for i in range(k, n) if m[i][k]), None)
             if piv is None:
-                raise SingularMatrixError("matrix is singular")
+                raise SingularMatrixError(f"matrix is singular: no pivot in column {k}")
             if piv != k:
                 m[k], m[piv] = m[piv], m[k]
                 sign = -sign
@@ -208,6 +244,39 @@ class Matrix:
         body = ", ".join("[" + ", ".join(str(e) for e in row) + "]"
                          for row in self.entries)
         return f"[{body}]"
+
+
+def _kronecker_eliminate(m: Matrix, jordan: bool) -> tuple[list[list], LaurentPoly]:
+    """Matrix._eliminate over Z[t,t^-1] through one integer elimination.
+
+    For D = diag(t^s_i) and S = sum s_i, adj(DM) = t^S adj(M) D^-1 and
+    det(DM) = t^S det(M) undo the row shifts.
+    """
+    shifts = [-min((e.val for e in row if e), default=0) for row in m.entries]
+    bits = math.prod(1 + sum(abs(c) for e in row for c in e.coeffs)
+                     for row in m.entries).bit_length() + 2
+    packed = Matrix(ZZ, [[_pack(e, s, bits) for e in row]
+                         for row, s in zip(m.entries, shifts)], cols=m.cols)
+    adj, d = packed._eliminate(jordan)
+    total = sum(shifts)
+    return ([[_unpack(x, bits, s - total) for x, s in zip(row, shifts)] for row in adj],
+            _unpack(d, bits, -total))
+
+
+def _pack(e: LaurentPoly, shift: int, bits: int) -> int:
+    """The value of t^shift e at t = 2^bits, for t^shift e a polynomial."""
+    return sum(c << bits * (e.val + shift + i) for i, c in enumerate(e.coeffs))
+
+
+def _unpack(x: int, bits: int, val: int) -> LaurentPoly:
+    """t^val p for the polynomial p with p(2^bits) = x whose coefficients
+    are below 2^(bits-1) in absolute value: the signed base-2^bits digits."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    digits = []
+    while x:
+        digits.append(((x & mask) ^ half) - half)
+        x = (x >> bits) + (digits[-1] < 0)
+    return LaurentPoly._of(val, digits)
 
 
 def _dot(a: Sequence, b: Sequence, ring: Ring):

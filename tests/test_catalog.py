@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from blanchfield.catalog import (CatalogEntry, EntryParseError, builtin,
@@ -60,6 +62,17 @@ def test_non_ascii_digits_are_parse_errors():
     assert (exc.value.line, exc.value.col) == (3, 6)
     with pytest.raises(EntryParseError, match="line 3, column 9: expected an integer"):
         load_entry("name: x\nkind: seifert\nA: [[1, \u0663]]\n")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() has no digit limit here")
+def test_overlong_integer_is_parse_error():
+    # int() refuses more than sys.get_int_max_str_digits() digits with a
+    # bare ValueError; the reader names the token's position instead
+    digits = sys.get_int_max_str_digits() + 700
+    with pytest.raises(EntryParseError, match=f"integer of {digits} digits is too long") as exc:
+        load_entry("name: x\nkind: seifert\nA: [[0, -" + "1" * digits + "]]\n")
+    assert (exc.value.line, exc.value.col) == (3, 9)
 
 
 def test_data_is_validated_once(monkeypatch):

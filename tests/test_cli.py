@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -163,6 +164,18 @@ def test_invalid_entry_file_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "alexander", str(path))
     assert code == 2
     assert "J skew-symmetric" in err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() has no digit limit here")
+def test_overlong_integer_entry_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "long.txt"
+    digits = sys.get_int_max_str_digits() + 700
+    path.write_text("name: long\nkind: seifert\nA: [[" + "1" * digits + "]]\n")
+    code, out, err = run(capsys, "alexander", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"line 3, column 6: integer of {digits} digits is too long" in err
 
 
 def test_unknown_entry_exit_2(capsys):

@@ -103,3 +103,31 @@ def test_evaluate_is_homomorphism(a, b):
     lhs = (a * b).evaluate(z)
     rhs = a.evaluate(z) * b.evaluate(z)
     assert abs(lhs - rhs) < 1e-9
+
+
+@given(laurents, laurents, st.integers(min_value=-5, max_value=5))
+def test_arithmetic_results_match_the_public_constructor(a, b, k):
+    # results built without the int() coercion are indistinguishable from
+    # the same polynomial built through the constructor
+    difference, product = {}, {}
+    for i, x in enumerate(a.coeffs, a.val):
+        difference[i] = difference.get(i, 0) + x
+        for j, y in enumerate(b.coeffs, b.val):
+            product[i + j] = product.get(i + j, 0) + x * y
+    for j, y in enumerate(b.coeffs, b.val):
+        difference[j] = difference.get(j, 0) - y
+    for got, want in ((a - b, LaurentPoly.from_dict(difference)),
+                      (a - k, a + LaurentPoly.const(-k)),
+                      (k - a, LaurentPoly.const(k) + (-a)),
+                      (a * b, LaurentPoly.from_dict(product)),
+                      (a * k, LaurentPoly(a.val, [c * k for c in a.coeffs]))):
+        assert (got, hash(got), repr(got), str(got)) == (want, hash(want), repr(want), str(want))
+        assert (got.val, got.coeffs) == (want.val, want.coeffs)
+        assert all(type(c) is int for c in got.coeffs)
+
+
+def test_constructor_coerces_coefficients():
+    p = LaurentPoly(1, (False, True, 2.0, 0))
+    assert (p.val, p.coeffs) == (2, (1, 2))
+    assert all(type(c) is int for c in p.coeffs)
+    assert p - LaurentPoly(2, (1,)) == LaurentPoly(3, (2,))

@@ -1,9 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
+from blanchfield.catalog import builtin, random_seifert
 from blanchfield.laurent import LaurentPoly, T
-from blanchfield.matrix import LAURENT, QT, ZZ, Matrix, SingularMatrixError
+from blanchfield.matrix import (LAURENT, QT, ZZ, Matrix, SingularMatrixError, _pack,
+                                _unpack)
 from blanchfield.ratfunc import RationalFunction as RF
 
 
@@ -160,3 +163,148 @@ def test_inverse_over_the_rings():
     _assert_adjugate_identity(Matrix.from_int_rows(ZZ, [[3, 1, 0], [1, 2, 5], [0, 4, 1]]))
     _assert_adjugate_identity(laurent_matrix([[T, 1], [0, 1]]))
     _assert_adjugate_identity(Matrix(QT, [[RF(T, T + 1), RF(2)], [RF(1), RF(T - 1)]]))
+
+
+# --- the integer (Kronecker) elimination over Z[t,t^-1] -------------------
+
+# A copy of LAURENT is not LAURENT, so matrices over it take the generic
+# Bareiss over Laurent polynomials: the reference for the integer path.
+REFERENCE = dataclasses.replace(LAURENT, name="Z[t,t^-1], Laurent Bareiss")
+
+
+def _eliminations(m):
+    """(adj rows, det) or the SingularMatrixError message, by the integer
+    path and by the reference."""
+    out = []
+    for ring in (LAURENT, REFERENCE):
+        try:
+            adj, det = Matrix(ring, m.entries, cols=m.cols).adjugate()
+            out.append((adj.entries, det))
+        except SingularMatrixError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _shift_rows(m, shifts):
+    return Matrix(LAURENT, [[T ** k * e for e in row] for row, k in zip(m.entries, shifts)],
+                  cols=m.cols)
+
+
+def _kronecker_cases():
+    rng = random.Random(17)
+    for g in range(7):
+        for bound in (1, 25, 10 ** 6):
+            pres = random_seifert(g, bound, 100 * g + bound).presentation
+            yield f"seifert-g{g}-b{bound}", pres
+            yield f"seifert-g{g}-b{bound}-shifted", _shift_rows(
+                pres, [rng.randint(-3, 3) for _ in range(pres.rows)])
+    for n in (1, 2, 4, 6):
+        p = Matrix.from_int_rows(ZZ, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        yield f"fibred-{n}", T * p.to_ring(LAURENT) - Matrix.identity(LAURENT, n)
+    yield "fibred-trefoil", builtin("trefoil-fibred").data().presentation
+    yield "dual-trefoil", builtin("trefoil-dual").data().presentation
+    for g in (1, 2, 3):
+        a = random_seifert(g, 5, g).matrix.to_ring(LAURENT)
+        yield f"dual-g{g}", a - T ** -1 * a.transpose()
+    # a zero leading pivot forces a row swap
+    yield "swap", laurent_matrix([[0, T ** 2, 3], [1 + T, 2, -T], [T ** -2, 0, 1]])
+    rows = [list(row) for row in random_seifert(2, 3, 4).presentation.entries]
+    rows[0][0] = LaurentPoly.zero()
+    yield "swap-seifert", Matrix(LAURENT, rows)
+    yield "zero-entries", laurent_matrix([[1 + T, 0, 0], [T, 0, 0], [0, 2, 1]])
+    yield "zero-row", laurent_matrix([[1 + T, T ** -1], [0, 0]])
+    yield "zero-column", laurent_matrix([[0, T ** -1], [0, 1 - T]])
+    yield "empty", Matrix(LAURENT, (), cols=0)
+
+
+@pytest.mark.parametrize("label, m", list(_kronecker_cases()))
+def test_integer_elimination_matches_laurent_bareiss(label, m):
+    kronecker, reference = _eliminations(m)
+    assert kronecker == reference
+    assert m.det() == Matrix(REFERENCE, m.entries, cols=m.cols).det()
+    if isinstance(kronecker, str):
+        assert label.startswith("zero") and not m.det()
+
+
+def test_singular_inputs_raise_at_the_same_column():
+    for m, column in ((laurent_matrix([[1 + T, T ** -1], [0, 0]]), 1),
+                      (laurent_matrix([[1 + T, 0, 0], [T, 0, 0], [0, 2, 1]]), 2),
+                      (laurent_matrix([[0, T ** -1], [0, 1 - T]]), 0)):
+        with pytest.raises(SingularMatrixError, match=f"column {column}$"):
+            m.adjugate()
+        assert m.det() == LaurentPoly.zero()
+
+
+def test_integer_elimination_matches_sympy_oracle():
+    # sympy's adj_det trips over zero characteristic-polynomial coefficients
+    # (sympy 1.14), so the oracle is its det together with the identity
+    # M adj = det I, which fixes adj once det is nonzero
+    sp = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    zt = sp.ZZ[sp.Symbol("t")]
+    for label, m in _kronecker_cases():
+        if label.startswith("zero") or not m.rows:
+            continue
+        n = m.rows
+        # t^k m is a polynomial matrix; its adj and det are t^(k(n-1)) adj m
+        # and t^(kn) det m
+        k = -min((e.val for row in m.entries for e in row if e), default=0)
+
+        def poly(e, shift):
+            return zt.ring.from_dict({(e.val + shift + i,): c for i, c in enumerate(e.coeffs)})
+
+        def poly_matrix(rows, shift):
+            return DomainMatrix([[poly(e, shift) for e in row] for row in rows], (n, n), zt)
+
+        oracle = poly_matrix(m.entries, k)
+        adj, det = m.adjugate()
+        det_k = poly(det, k * n)
+        assert det_k == oracle.det(), label
+        product = (oracle * poly_matrix(adj.entries, k * (n - 1))).to_list()
+        assert product == [[det_k if i == j else zt.zero for j in range(n)]
+                           for i in range(n)], label
+
+
+def _packing_width(m):
+    """The width B the integer path packs m with: bit length of the product
+    of the row coefficient 1-norms of [m | I], plus 2."""
+    bound = 1
+    for row in m.entries:
+        bound *= 1 + sum(abs(c) for e in row for c in e.coeffs)
+    return bound.bit_length() + 2
+
+
+def test_extremal_minors_reach_the_packing_bound():
+    # a signed permutation of monomials +-b t^k: its rows are orthogonal, so
+    # it attains Hadamard's bound, and each row's 1-norm is one coefficient
+    b = 10 ** 6
+    m = laurent_matrix([[0, 0, -b * T ** 2, 0, 0, 0],
+                        [b * T ** -1, 0, 0, 0, 0, 0],
+                        [0, 0, 0, 0, -b, 0],
+                        [0, b * T ** 3, 0, 0, 0, 0],
+                        [0, 0, 0, 0, 0, b * T],
+                        [0, 0, 0, -b * T ** -4, 0, 0]])
+    kronecker, reference = _eliminations(m)
+    assert kronecker == reference
+    bits = _packing_width(m)
+    _, det = kronecker
+    assert det.is_unit_multiple_of(LaurentPoly.const(b ** 6))
+    # det's coefficient needs bits - 1 bits as a signed digit: the width
+    # has one spare bit, and one bit below the needed width loses it
+    assert (b ** 6).bit_length() == bits - 2
+    for width, fits in ((bits - 1, True), (bits - 2, False)):
+        assert (_unpack(_pack(det, -det.val, width), width, det.val) == det) is fits
+
+
+def test_pack_unpack_round_trip_at_the_digit_limit():
+    for bits in (3, 8, 64, 101):
+        top = (1 << (bits - 1)) - 1
+        for coeffs in ((top,), (-top,), (top, -top, 0, top), (-top, 0, 0, -top), (1, -top)):
+            for val in (-3, 0, 2):
+                p = LaurentPoly(val, coeffs)
+                assert _unpack(_pack(p, -val, bits), bits, val) == p
+        # one past the limit no longer fits a signed digit
+        p = LaurentPoly(0, (top + 1, 1))
+        assert _unpack(_pack(p, 0, bits), bits, 0) != p
+    assert _pack(LaurentPoly.zero(), -2, 8) == 0
+    assert _unpack(0, 8, 5) == LaurentPoly.zero()
