@@ -2,14 +2,30 @@
 
 A polynomial is a tuple of coefficients indexed by exponent; the zero
 polynomial is the empty tuple and the leading (last) coefficient of a
-nonzero polynomial is nonzero.  Coefficients are Python ints unless a
-function says it also accepts Fractions.  Everything here is exact.
+nonzero polynomial is nonzero.  Coefficients are Python ints, and
+everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+
+P = 2**31 - 1  # the prime of the coprimality certificate
+
+
+def as_ints(coeffs) -> tuple:
+    """The coefficients as Python ints; TypeError names one whose value is not
+    an integer (True, 2.0 and numpy integers pass; 0.4 and 1/3 do not)."""
+    out = []
+    for c in coeffs:
+        try:
+            i = int(c)
+        except (TypeError, ValueError, OverflowError):
+            i = None
+        if i is None or i != c:
+            raise TypeError(f"polynomial coefficient {c!r} is not an integer")
+        out.append(i)
+    return tuple(out)
 
 
 def trim(coeffs) -> tuple:
@@ -79,16 +95,6 @@ def primitive(a) -> tuple:
     return tuple(v // c for v in a)
 
 
-def _reduce_step(r, b):
-    # one pseudo-division step: lc(b)*r - lc(r)*t^(deg r - deg b)*b
-    k = len(r) - len(b)
-    lb, lr = b[-1], r[-1]
-    out = [lb * c for c in r]
-    for i, c in enumerate(b):
-        out[i + k] -= lr * c
-    return trim(out)
-
-
 def gcd_poly(a, b) -> tuple:
     """Primitive gcd of two integer polynomials, positive leading coefficient.
 
@@ -97,37 +103,60 @@ def gcd_poly(a, b) -> tuple:
     """
     a, b = primitive(trim(a)), primitive(trim(b))
     while b:
-        r = a
-        while r and len(r) >= len(b):
-            r = _reduce_step(r, b)
-        a, b = b, primitive(r)
+        a, b = b, primitive(pseudo_divmod(a, b)[2])
     if a and a[-1] < 0:
         a = neg(a)
     return a
 
 
-def divmod_frac(a, b):
-    """Quotient and remainder over the rationals.
+def certify_coprime(a, b) -> bool:
+    """True only if a and b are coprime over Q; False means "unknown".
 
-    Accepts int or Fraction coefficients; returns Fraction tuples.
+    Runs Euclid on a and b mod P and answers True when P does not divide
+    lc(a) and the gcd mod P is constant.  That is exact: the gcd g over
+    Z divides a, so lc(g) divides lc(a) and g keeps its degree mod P,
+    while g mod P divides the gcd mod P; so deg g = 0.
+
+    >>> certify_coprime((1, 1), (0, 1))     # t + 1 and t
+    True
+    >>> certify_coprime((0, 1), (P, 1))     # t and t + P share t mod P only
+    False
     """
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(c) for c in a]
-    if len(a) < len(b):
-        return (), trim(r)
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    lb = Fraction(b[-1])
-    while True:
-        r = list(trim(r))
-        if len(r) < len(b):
-            break
-        k = len(r) - len(b)
-        c = r[-1] / lb
-        q[k] = c
+    if not a or not a[-1] % P:
+        return False
+    a, b = [c % P for c in a], list(trim([c % P for c in b]))
+    while len(b) > 1:
+        inv, nb = pow(b[-1], -1, P), len(b)
+        while len(a) >= nb:
+            c = a.pop() * inv % P
+            k = len(a) - nb + 1
+            for i in range(nb - 1):
+                a[k + i] = (a[k + i] - c * b[i]) % P
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1 or len(b) == 1
+
+
+def pseudo_divmod(a, b) -> tuple:
+    """(d, q, r) with d*a = q*b + r, deg r < deg b and d > 0 dividing
+    lc(b)^max(0, deg a - deg b + 1): long division that scales the
+    running remainder only when lc(b) does not divide its top coefficient.
+    """
+    nb, lb = len(b), b[-1]
+    nq = len(a) - nb + 1
+    r, q, d = list(a), [0] * nq, 1
+    for k in range(nq - 1, -1, -1):
+        c = r[k + nb - 1]
+        if not c:
+            continue
+        g = abs(lb) // gcd(c, lb)
+        if g > 1:
+            r, q, d = [g * v for v in r], [g * v for v in q], d * g
+        q[k] = c = g * c // lb
         for i, bc in enumerate(b):
-            r[i + k] -= c * Fraction(bc)
-    return trim(q), trim(r)
+            r[i + k] -= c * bc
+    return d, tuple(q), trim(r[:nb - 1])
 
 
 def div_exact(a, b) -> tuple:
@@ -160,24 +189,11 @@ def div_exact(a, b) -> tuple:
     return tuple(q)
 
 
-def series_inverse(b, m: int) -> tuple:
-    """Inverse of b modulo t**m over the rationals; requires b[0] != 0."""
-    if not b or not b[0]:
-        raise ZeroDivisionError("no power-series inverse: zero constant term")
-    b0 = Fraction(b[0])
-    inv = [Fraction(0)] * m
-    inv[0] = 1 / b0
+def scaled_series_inverse(b, m: int) -> tuple:
+    """e with e*b = b[0]^m mod t^m (b[0] != 0, m >= 1); exact, as the n-th
+    coefficient of 1/b over Q has a denominator dividing b[0]^(n+1)."""
+    b0 = b[0]
+    e = [b0 ** (m - 1)]
     for n in range(1, m):
-        s = Fraction(0)
-        for i in range(1, min(n, len(b) - 1) + 1):
-            s += Fraction(b[i]) * inv[n - i]
-        inv[n] = -s / b0
-    return trim(inv)
-
-
-def clear_denominators(a):
-    """Smallest positive integer d with d*a integral, plus the integer tuple."""
-    d = 1
-    for c in a:
-        d = d * c.denominator // gcd(d, c.denominator)
-    return d, tuple(int(c * d) for c in a)
+        e.append(-sum(b[i] * e[n - i] for i in range(1, min(n, len(b) - 1) + 1)) // b0)
+    return trim(e)

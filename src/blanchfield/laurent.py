@@ -28,12 +28,12 @@ class LaurentPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, val: int = 0, coeffs: Sequence[int] = ()):
-        p = LaurentPoly._of(val, coeffs)
-        self.val, self.coeffs = p.val, tuple(int(c) for c in p.coeffs)
+        p = LaurentPoly._of(val, _polyops.as_ints(coeffs))
+        self.val, self.coeffs = p.val, p.coeffs
 
     @classmethod
     def _of(cls, val: int, coeffs: Sequence[int]) -> LaurentPoly:
-        """The constructor without its int() coercion, for coefficients
+        """The constructor without its coefficient check, for coefficients
         that are ints already, as arithmetic results are."""
         lo, hi = 0, len(coeffs)
         while lo < hi and coeffs[lo] == 0:

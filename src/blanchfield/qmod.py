@@ -12,12 +12,20 @@ The splitting is unique: a proper fraction whose denominator has
 nonzero constant term can only be a Laurent polynomial if it is zero,
 so two rational functions differ by an integer Laurent polynomial
 exactly when they canonicalize identically.
+
+Canonicalization runs in integers up to the output Fractions.  Its
+input is reduced, mostly without a gcd (see ``RationalFunction``: Euclid
+mod the prime 2^31 - 1 certifies coprimality).  With den = t^m q0, one
+pseudo-division d*num = s*q0 + r (d | lc(q0)^k) and, for m > 0, the
+series inverse of q0 mod t^m scaled by c = q0(0)^m, which splits
+c*r = a*q0 + t^m*b, give x = t^-m (s + a/c)/d + b/(c*d*q0).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from math import lcm
 
 from . import _polyops
 from .laurent import LaurentPoly
@@ -51,64 +59,41 @@ class QModLambda:
 
     @classmethod
     def from_ratfunc(cls, x: RationalFunction) -> QModLambda:
-        """Canonicalize x + Z[t,t^-1]."""
+        """Canonicalize x + Z[t,t^-1], in integers up to the final Fractions."""
         num, den = x.num, x.den
-        if not num:
-            return cls.zero()
         # split den = t^m * q0 with q0(0) != 0
-        m = 0
-        while not den[m]:
-            m += 1
+        m = next(i for i, c in enumerate(den) if c)
         q0 = den[m:]
-        # x = t^-m * (s + r/q0) with deg r < deg q0
-        s, r = _polyops.divmod_frac(num, q0)
-        frac: dict[int, Fraction] = {}
-        for i, c in enumerate(s):
-            frac[i - m] = Fraction(c)
+        # d*num = s*q0 + r, so x = t^-m * (s + r/q0) / d with deg r < deg q0
+        d, s, r = _polyops.pseudo_divmod(num, q0)
         if r and m:
-            # split r/(t^m q0) = a/t^m + b/q0 using coprimality of t^m and q0
-            inv = _polyops.series_inverse(q0, m)
-            a = _polyops.trim(_polyops.mul(r, inv)[:m])
-            rest = _polyops.sub(r, _polyops.mul(a, q0))
+            # c*r = a*q0 + t^m*b with c = q0(0)^m and deg a < m splits
+            # r/(t^m q0) = (a/t^m + b/q0) / c
+            c = q0[0] ** m
+            a = _polyops.trim(_polyops.mul(r, _polyops.scaled_series_inverse(q0, m))[:m])
+            rest = _polyops.sub(_polyops.scale(r, c), _polyops.mul(a, q0))
             assert not any(rest[:m]), "partial fraction split failed"
-            b = _polyops.trim(rest[m:])
-            for i, c in enumerate(a):
-                frac[i - m] = frac.get(i - m, Fraction(0)) + Fraction(c)
-            r = b
-        # reduce the Laurent coefficients into [0, 1)
-        frac = {e: c - (c.numerator // c.denominator) for e, c in frac.items()}
-        frac = {e: c for e, c in frac.items() if c}
-        if frac:
-            lo, hi = min(frac), max(frac)
-            coeffs = tuple(frac.get(e, Fraction(0)) for e in range(lo, hi + 1))
-            frac_val = lo
-        else:
-            coeffs = ()
-            frac_val = 0
-        if r:
-            # scale so the denominator is primitive over Z
-            c = _polyops.content(q0)
-            prop_den = tuple(v // c for v in q0)
-            prop_num = tuple(Fraction(v, c) for v in r)
-        else:
-            prop_num, prop_den = (), (1,)
-        if not coeffs and not prop_num:
-            return cls.zero()
-        return cls(frac_val, coeffs, prop_num, prop_den)
+            s, r, d = _polyops.add(_polyops.scale(s, c), a), rest[m:], d * c
+        # x = t^-m * s/d + r/(d*q0); reduce the Laurent coefficients into
+        # [0, 1): v % d takes the sign of d, so (v % d)/d = v/d - floor(v/d)
+        s = [v % d for v in s]
+        lo = next((i for i, v in enumerate(s) if v), len(s))
+        s = _polyops.trim(s[lo:])
+        # scale so the denominator of the proper part is primitive over Z
+        k = _polyops.content(q0)
+        prop = ((tuple(Fraction(v, d * k) for v in r), tuple(v // k for v in q0))
+                if r else ((), (1,)))
+        return cls(lo - m if s else 0, tuple(Fraction(v, d) for v in s), *prop)
 
     def representative(self) -> RationalFunction:
         """A rational function in this class (the canonical one)."""
-        shift = max(0, -self.frac_val)
-        num = [Fraction(0)] * (shift + self.frac_val + len(self.frac_coeffs))
-        for i, c in enumerate(self.frac_coeffs):
-            num[shift + self.frac_val + i] = c
-        frac_part = RationalFunction.from_fraction_polys(
-            _polyops.trim(num), _polyops.shift((1,), shift))
-        if not self.prop_num:
-            return frac_part
-        dn, pnum = _polyops.clear_denominators(self.prop_num)
-        prop = RationalFunction(pnum, _polyops.scale(self.prop_den, dn))
-        return frac_part + prop
+        # over the common denominator d of all coefficients
+        d = lcm(*(c.denominator for c in self.frac_coeffs + self.prop_num))
+        frac, prop = ([c.numerator * (d // c.denominator) for c in cs]
+                      for cs in (self.frac_coeffs, self.prop_num))
+        num = LaurentPoly(self.frac_val, frac) * LaurentPoly(0, self.prop_den)
+        return RationalFunction(num + LaurentPoly(0, prop),
+                                _polyops.scale(self.prop_den, d))
 
     def conjugate(self) -> QModLambda:
         """Involution t -> t^-1 on the quotient module."""

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
 from . import _polyops
 from .laurent import LaurentPoly
@@ -14,9 +12,10 @@ from .laurent import LaurentPoly
 def _coerce_poly(x) -> tuple[tuple[int, ...], int]:
     """Return (coefficient tuple, power of t to clear) for the input.
 
-    Accepts ints, coefficient sequences and LaurentPoly values; a
-    Laurent polynomial with negative valuation contributes the t-power
-    needed to make it an honest polynomial.
+    Accepts ints, integer coefficient sequences and LaurentPoly values;
+    a Laurent polynomial with negative valuation contributes the t-power
+    needed to make it an honest polynomial.  A coefficient that is not
+    an integer raises TypeError.
     """
     if isinstance(x, LaurentPoly):
         if x.val >= 0:
@@ -24,7 +23,7 @@ def _coerce_poly(x) -> tuple[tuple[int, ...], int]:
         return tuple(x.coeffs), -x.val
     if isinstance(x, int):
         return _polyops.trim((x,)), 0
-    return _polyops.trim(tuple(int(c) for c in x)), 0
+    return _polyops.trim(_polyops.as_ints(x)), 0
 
 
 @dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
@@ -44,6 +43,13 @@ class RationalFunction:
     den: tuple[int, ...]
 
     def __init__(self, num=0, den=1):
+        """num/den in canonical form; the gcd runs only when a certificate fails.
+
+        ``_polyops.certify_coprime`` runs Euclid mod the prime P = 2^31 - 1.
+        A constant gcd there, with P not dividing lc(den), proves the gcd
+        over Z constant: its leading coefficient divides lc(den), so it
+        keeps its degree mod P, and it divides the gcd mod P.
+        """
         n, kn = _coerce_poly(num)
         d, kd = _coerce_poly(den)
         # the pending t-powers cancel across the fraction bar
@@ -56,10 +62,11 @@ class RationalFunction:
         if not n:
             self.num, self.den = (), (1,)
             return
-        g = _polyops.gcd_poly(n, d)
-        if len(g) > 1:
-            n = _polyops.div_exact(n, g)
-            d = _polyops.div_exact(d, g)
+        if not _polyops.certify_coprime(d, n):
+            g = _polyops.gcd_poly(n, d)
+            if len(g) > 1:
+                n = _polyops.div_exact(n, g)
+                d = _polyops.div_exact(d, g)
         c = gcd(_polyops.content(n), _polyops.content(d))
         if c > 1:
             n = tuple(v // c for v in n)
@@ -76,14 +83,6 @@ class RationalFunction:
     @classmethod
     def one(cls) -> RationalFunction:
         return cls(1)
-
-    @classmethod
-    def from_fraction_polys(cls, num: Sequence[Fraction],
-                            den: Sequence[Fraction]) -> RationalFunction:
-        """Build from rational-coefficient polynomials, clearing denominators."""
-        dn, n = _polyops.clear_denominators(tuple(Fraction(c) for c in num))
-        dd, d = _polyops.clear_denominators(tuple(Fraction(c) for c in den))
-        return cls(_polyops.scale(n, dd), _polyops.scale(d, dn))
 
     def is_zero(self) -> bool:
         return not self.num

@@ -12,4 +12,5 @@ def test_docstring_examples():
                for m in pkgutil.iter_modules(blanchfield.__path__)}
     assert {name: r.failed for name, r in results.items() if r.failed} == {}
     # the modules that carry examples, so that finding none cannot pass
-    assert all(results[name].attempted for name in ("laurent", "matrix", "qmod", "ratfunc"))
+    assert all(results[name].attempted
+               for name in ("_polyops", "laurent", "matrix", "qmod", "ratfunc"))

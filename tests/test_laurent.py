@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -131,3 +134,20 @@ def test_constructor_coerces_coefficients():
     assert (p.val, p.coeffs) == (2, (1, 2))
     assert all(type(c) is int for c in p.coeffs)
     assert p - LaurentPoly(2, (1,)) == LaurentPoly(3, (2,))
+
+
+def test_constructor_rejects_non_integral_coefficients():
+    # int() used to truncate these: LaurentPoly(0, [0.4]) stored (0,) and was
+    # truthy, and LaurentPoly(0, [1, 0.5]) equalled LaurentPoly(0, [1])
+    for coeffs, bad in (([0.4], "0.4"), ([1, 0.5], "0.5"),
+                        ((1, Fraction(1, 3)), "Fraction(1, 3)"), (["7"], "'7'"),
+                        ([float("nan")], "nan"), ([None], "None")):
+        with pytest.raises(TypeError, match=re.escape(bad)):
+            LaurentPoly(0, coeffs)
+
+
+def test_constructor_accepts_numpy_integers():
+    np = pytest.importorskip("numpy")
+    p = LaurentPoly(-1, np.array([3, 0, -2], dtype=np.int64))
+    assert p == LaurentPoly(-1, (3, 0, -2))
+    assert all(type(c) is int for c in p.coeffs)

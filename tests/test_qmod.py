@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
+from blanchfield._polyops import content, mul, shift, sub, trim
 from blanchfield.laurent import LaurentPoly, T
 from blanchfield.qmod import QModLambda, canonical_class
 from blanchfield.ratfunc import RationalFunction as RF
@@ -97,3 +100,96 @@ def test_canonical_invariants(x):
 @given(ratfuncs, ratfuncs)
 def test_class_addition_matches_representatives(x, y):
     assert canonical_class(x) + canonical_class(y) == canonical_class(x + y)
+
+
+# --- the integer canonical form against a Fraction reference ---------------
+
+def _ref_divmod(a, b):
+    """Quotient and remainder of polynomials over Q, as Fraction tuples."""
+    r = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + len(b) - 1] / b[-1]
+        for i, bc in enumerate(b):
+            r[i + k] -= c * bc
+    return trim(q), trim(r[:len(b) - 1])
+
+
+def _ref_series_inverse(b, m):
+    """Inverse of b modulo t^m over Q."""
+    inv = [1 / Fraction(b[0])]
+    for n in range(1, m):
+        inv.append(-sum(b[i] * inv[n - i] for i in range(1, min(n, len(b) - 1) + 1)) / b[0])
+    return inv
+
+
+def reference_class(x):
+    """Canonical form of x + Z[t,t^-1] by division and series inversion over Q."""
+    num, den = x.num, x.den
+    if not num:
+        return QModLambda.zero()
+    m = next(i for i, c in enumerate(den) if c)
+    q0 = den[m:]
+    s, r = _ref_divmod(num, q0)
+    frac = {i - m: c for i, c in enumerate(s)}
+    if r and m:
+        a = trim(mul(r, _ref_series_inverse(q0, m))[:m])
+        rest = sub(r, mul(a, q0))
+        assert not any(rest[:m])
+        for i, c in enumerate(a):
+            frac[i - m] = frac.get(i - m, Fraction(0)) + c
+        r = trim(rest[m:])
+    frac = {e: c - (c.numerator // c.denominator) for e, c in frac.items()}
+    frac = {e: c for e, c in frac.items() if c}
+    lo = min(frac, default=0)
+    coeffs = tuple(frac.get(e, Fraction(0)) for e in range(lo, max(frac, default=-1) + 1))
+    c = content(q0)
+    prop = (tuple(Fraction(v, c) for v in r), tuple(v // c for v in q0)) if r else ((), (1,))
+    if not coeffs and not r:
+        return QModLambda.zero()
+    return QModLambda(lo, coeffs, *prop)
+
+
+small = st.integers(-12, 12)
+# q0 with q0(0) != 0 and a leading coefficient of either sign, often non-monic
+q0s = st.tuples(small.filter(bool), st.lists(small, max_size=3),
+                st.sampled_from([1, -1, 2, -3, 5])).map(lambda p: (p[0], *p[1], p[2]))
+
+
+@given(st.lists(small, max_size=7), q0s, st.integers(0, 3), st.sampled_from([1, 2, 6]))
+def test_from_ratfunc_matches_fraction_reference(num, q0, m, k):
+    # den = k * t^m * q0: a t^m factor and content k > 1 in the denominator
+    x = RF(trim(num), tuple(k * c for c in shift(q0, m)))
+    ours, ref = canonical_class(x), reference_class(x)
+    assert ours == ref and repr(ours) == repr(ref)
+    assert all(type(c) is Fraction for c in ours.frac_coeffs + ours.prop_num)
+
+
+def test_from_ratfunc_pinned_splits():
+    # (t^2 + 1)/(t^3 (2t - 3)): t^m split with a non-monic q0 of negative q0(0)
+    for x in (RF(LaurentPoly.parse("t^2 + 1"), LaurentPoly.parse("2t^4 - 3t^3")),
+              RF(LaurentPoly.parse("-5t^4 + 3"), LaurentPoly.parse("6t^2 + 4t")),
+              RF(LaurentPoly.parse("7t^5 - t"), LaurentPoly.parse("-3t^3 + 9t^2 - 2"))):
+        assert canonical_class(x) == reference_class(x)
+        assert (canonical_class(x).representative() - x).is_laurent()
+
+
+def _sympy_ratfunc(sp, t, x):
+    return sp.Poly(list(reversed(x.num)) or [0], t).as_expr() / \
+        sp.Poly(list(reversed(x.den)), t).as_expr()
+
+
+def test_representative_differs_by_laurent_sympy():
+    sp = pytest.importorskip("sympy")
+    t = sp.Symbol("t")
+    rng = random.Random(5)
+    for _ in range(60):
+        num = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+        q0 = [rng.choice([-2, -1, 1, 3])] + [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
+        x = RF(trim(num), tuple(rng.choice([1, 4]) * c for c in shift(q0, rng.randint(0, 3))))
+        diff = sp.cancel(_sympy_ratfunc(sp, t, canonical_class(x).representative())
+                         - _sympy_ratfunc(sp, t, x))
+        # a Laurent polynomial: the reduced denominator is +-t^k
+        den = sp.Poly(sp.denom(diff), t)
+        assert den.is_monomial and abs(den.LC()) == 1
+        assert all(c.is_integer for c in sp.Poly(sp.numer(diff), t).all_coeffs())

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from blanchfield.laurent import LaurentPoly, T
+from blanchfield.qmod import canonical_class
 from blanchfield.ratfunc import RationalFunction as RF
 
 laurents = st.builds(
@@ -102,3 +105,11 @@ def test_canonical_form_invariants(a):
     from blanchfield import _polyops
     assert gcd(_polyops.content(a.num), _polyops.content(a.den)) == 1
     assert len(_polyops.gcd_poly(a.num, a.den)) <= 1
+
+
+def test_constructor_rejects_non_integral_coefficients():
+    with pytest.raises(TypeError, match=r"Fraction\(1, 3\)"):
+        canonical_class(RF((1,), (Fraction(1, 3), 1)))
+    with pytest.raises(TypeError, match="0.5"):
+        RF((1, 0.5))
+    assert RF((True, 2.0), (3,)) == RF(LaurentPoly(0, (1, 2)), 3)
