@@ -13,7 +13,7 @@ from math import gcd
 P = 2**31 - 1  # the prime of the coprimality certificate
 
 
-def as_ints(coeffs) -> tuple:
+def as_ints(coeffs, what: str = "polynomial coefficient") -> tuple:
     """The coefficients as Python ints; TypeError names one whose value is not
     an integer (True, 2.0 and numpy integers pass; 0.4 and 1/3 do not)."""
     out = []
@@ -23,7 +23,7 @@ def as_ints(coeffs) -> tuple:
         except (TypeError, ValueError, OverflowError):
             i = None
         if i is None or i != c:
-            raise TypeError(f"polynomial coefficient {c!r} is not an integer")
+            raise TypeError(f"{what} {c!r} is not an integer")
         out.append(i)
     return tuple(out)
 

@@ -28,6 +28,7 @@ class LaurentPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, val: int = 0, coeffs: Sequence[int] = ()):
+        (val,) = _polyops.as_ints((val,), "Laurent valuation")
         p = LaurentPoly._of(val, _polyops.as_ints(coeffs))
         self.val, self.coeffs = p.val, p.coeffs
 
@@ -140,9 +141,13 @@ class LaurentPoly:
         return LaurentPoly._of(-(self.val + len(self.coeffs) - 1),
                                tuple(reversed(self.coeffs)))
 
-    def exact_div(self, other: LaurentPoly) -> LaurentPoly:
+    def exact_div(self, other: int | LaurentPoly) -> LaurentPoly:
         """Divide by an exact divisor; raises ArithmeticError otherwise."""
-        if not isinstance(other, LaurentPoly) or other.is_zero():
+        if isinstance(other, int):
+            other = LaurentPoly._of(0, (int(other),))
+        if not isinstance(other, LaurentPoly):
+            raise TypeError(f"cannot divide a Laurent polynomial by {other!r}")
+        if other.is_zero():
             raise ZeroDivisionError("Laurent polynomial division by zero")
         if self.is_zero():
             return self
@@ -236,6 +241,15 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
+
+
+def divides(d: int | LaurentPoly, x: LaurentPoly) -> bool:
+    """Does d divide x in Z[t,t^-1]?"""
+    try:
+        x.exact_div(d)
+    except ArithmeticError:
+        return False
+    return True
 
 
 T = LaurentPoly(1, (1,))

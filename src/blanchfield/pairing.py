@@ -29,9 +29,9 @@ from __future__ import annotations
 import functools
 from typing import Sequence
 
-from .laurent import LaurentPoly, T
+from .laurent import LaurentPoly, T, divides
 from .matrix import LAURENT, QT, ZZ, Matrix, SingularMatrixError
-from .qmod import QModLambda, canonical_class
+from .qmod import QModLambda
 from .ratfunc import RationalFunction
 
 
@@ -209,15 +209,6 @@ def basis_vector(n: int, i: int) -> tuple[LaurentPoly, ...]:
                  for j in range(n))
 
 
-def divides(d: LaurentPoly, x: LaurentPoly) -> bool:
-    """Does d divide x in Z[t,t^-1]?"""
-    try:
-        x.exact_div(d)
-    except ArithmeticError:
-        return False
-    return True
-
-
 def _vectors(v: Sequence, w: Sequence, n: int) -> tuple[tuple, tuple]:
     """Coerce two coordinate vectors to Lambda-vectors of length n."""
     v, w = as_laurent_vector(v), as_laurent_vector(w)
@@ -281,9 +272,8 @@ class PresentedPairing:
         return self._numer.map_entries(lambda e: RationalFunction(e) / d, QT)
 
     def value(self, v: Sequence, w: Sequence) -> QModLambda:
-        """The pairing of two coordinate vectors, reduced into Q/Lambda."""
-        return canonical_class(RationalFunction(_sesquilinear(self._numer, v, w),
-                                                self._denom))
+        """The pairing of two coordinate vectors, as its class in Q/Lambda."""
+        return QModLambda._pair(_sesquilinear(self._numer, v, w), self._denom)
 
     def element_equal(self, v: Sequence, w: Sequence) -> bool:
         """Do v and w present the same element of the module?"""
@@ -350,8 +340,7 @@ class DualSurfaceEvaluator:
         return self.data.size
 
     def value(self, v: Sequence, w: Sequence) -> QModLambda:
-        return canonical_class(RationalFunction(_sesquilinear(self._numer, v, w),
-                                                self._denom))
+        return QModLambda._pair(_sesquilinear(self._numer, v, w), self._denom)
 
 
 def from_dual_surface(data: DualSurfaceData) -> DualSurfaceEvaluator:

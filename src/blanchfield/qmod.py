@@ -1,6 +1,18 @@
-"""Canonical representatives for the quotient module Q(t) / Z[t, t^-1].
+"""Pairing values: classes in the quotient module Q(t) / Z[t, t^-1].
 
-Blanchfield pairings take values here.  A class is stored as
+A class is held as a pair num/den over Lambda = Z[t, t^-1], den != 0, as
+a pairing produces it (v^T N conj(w) over det P); the pair is neither
+reduced nor unique.  Equality takes one exact division: Lambda is a UFD,
+in particular a domain with fraction field Q(t), so a/b lies in Lambda
+exactly when b divides a there.  Hence n/d is zero exactly when d | n,
+and n1/d1 = n2/d2 exactly when d1*d2 | n1*d2 - n2*d1 (d | n1 - n2 for a
+shared d); as t is a unit, that is integer long division of coefficient
+tuples.  Sums, negation, conjugation and scaling are pair arithmetic too,
+so checking a pairing's properties reduces no fraction.
+
+The canonical form is built only when read (str, repr, hash,
+``representative()`` and the four fields), once per instance, by
+``from_ratfunc``, which ``canonical_class`` calls eagerly.  It is
 
   * a "fractional" Laurent polynomial whose rational coefficients all
     lie in [0, 1), and
@@ -23,39 +35,77 @@ c*r = a*q0 + t^m*b, give x = t^-m (s + a/c)/d + b/(c*d*q0).
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from math import lcm
 
 from . import _polyops
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, divides
 from .ratfunc import RationalFunction
 
 
-@dataclasses.dataclass(frozen=True)
 class QModLambda:
-    """A class in Q(t)/Z[t,t^-1] in canonical form.
+    """A class in Q(t)/Z[t,t^-1]: a Laurent pair, canonical on demand.
 
     >>> QModLambda.from_ratfunc(RationalFunction(5))
     QModLambda('0')
     >>> QModLambda.from_ratfunc(RationalFunction((0, 1), (2,)))
     QModLambda('(1/2)t')
+    >>> x = canonical_class(RationalFunction(1, LaurentPoly(0, (-1, 1))))
+    >>> x * LaurentPoly(1, (1,)) == x       # t/(t - 1) = 1 + 1/(t - 1)
+    True
     """
 
-    frac_val: int
-    frac_coeffs: tuple[Fraction, ...]
-    prop_num: tuple[Fraction, ...]
-    prop_den: tuple[int, ...]
+    __slots__ = ("_num", "_den", "_canon")
+
+    def __init__(self, frac_val: int, frac_coeffs: tuple[Fraction, ...],
+                 prop_num: tuple[Fraction, ...], prop_den: tuple[int, ...]):
+        """The class with these canonical fields, paired as its representative
+        over the common denominator d of all coefficients."""
+        frac_coeffs, prop_num = tuple(frac_coeffs), tuple(prop_num)
+        self._canon = (frac_val, frac_coeffs, prop_num, tuple(prop_den))
+        d = lcm(*(c.denominator for c in frac_coeffs + prop_num))
+        frac, prop = ([c.numerator * (d // c.denominator) for c in cs]
+                      for cs in (frac_coeffs, prop_num))
+        q0 = LaurentPoly(0, prop_den)
+        self._num = LaurentPoly(frac_val, frac) * q0 + LaurentPoly(0, prop)
+        self._den = q0 * d
+
+    @classmethod
+    def _pair(cls, num: LaurentPoly, den: LaurentPoly, canon=None) -> QModLambda:
+        """The class of num/den (den != 0), kept as that pair."""
+        out = object.__new__(cls)
+        out._num, out._den, out._canon = num, den, canon
+        return out
+
+    def _fields(self) -> tuple:
+        """(frac_val, frac_coeffs, prop_num, prop_den), built on first use."""
+        if self._canon is None:
+            x = RationalFunction(self._num, self._den)
+            self._canon = QModLambda.from_ratfunc(x)._canon
+        return self._canon
+
+    frac_val = property(lambda self: self._fields()[0])
+    frac_coeffs = property(lambda self: self._fields()[1])
+    prop_num = property(lambda self: self._fields()[2])
+    prop_den = property(lambda self: self._fields()[3])
 
     @classmethod
     def zero(cls) -> QModLambda:
         return cls(0, (), (), (1,))
 
     def is_zero(self) -> bool:
-        return not self.frac_coeffs and not self.prop_num
+        return divides(self._den, self._num)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QModLambda):
+            return NotImplemented
+        return (self - other).is_zero()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @classmethod
     def from_ratfunc(cls, x: RationalFunction) -> QModLambda:
@@ -83,29 +133,28 @@ class QModLambda:
         k = _polyops.content(q0)
         prop = ((tuple(Fraction(v, d * k) for v in r), tuple(v // k for v in q0))
                 if r else ((), (1,)))
-        return cls(lo - m if s else 0, tuple(Fraction(v, d) for v in s), *prop)
+        return cls._pair(LaurentPoly._of(0, num), LaurentPoly._of(0, den),
+                         (lo - m if s else 0, tuple(Fraction(v, d) for v in s), *prop))
 
     def representative(self) -> RationalFunction:
         """A rational function in this class (the canonical one)."""
-        # over the common denominator d of all coefficients
-        d = lcm(*(c.denominator for c in self.frac_coeffs + self.prop_num))
-        frac, prop = ([c.numerator * (d // c.denominator) for c in cs]
-                      for cs in (self.frac_coeffs, self.prop_num))
-        num = LaurentPoly(self.frac_val, frac) * LaurentPoly(0, self.prop_den)
-        return RationalFunction(num + LaurentPoly(0, prop),
-                                _polyops.scale(self.prop_den, d))
+        canonical = QModLambda(*self._fields())
+        return RationalFunction(canonical._num, canonical._den)
 
     def conjugate(self) -> QModLambda:
         """Involution t -> t^-1 on the quotient module."""
-        return QModLambda.from_ratfunc(self.representative().conjugate())
+        return QModLambda._pair(self._num.conjugate(), self._den.conjugate())
 
     def __add__(self, other: QModLambda) -> QModLambda:
         if not isinstance(other, QModLambda):
             return NotImplemented
-        return QModLambda.from_ratfunc(self.representative() + other.representative())
+        n1, d1, n2, d2 = self._num, self._den, other._num, other._den
+        if d1 == d2:
+            return QModLambda._pair(n1 + n2, d1)
+        return QModLambda._pair(n1 * d2 + n2 * d1, d1 * d2)
 
     def __neg__(self) -> QModLambda:
-        return QModLambda.from_ratfunc(-self.representative())
+        return QModLambda._pair(-self._num, self._den)
 
     def __sub__(self, other: QModLambda) -> QModLambda:
         if not isinstance(other, QModLambda):
@@ -114,21 +163,25 @@ class QModLambda:
 
     def __mul__(self, p) -> QModLambda:
         """Scale by a ring element (Laurent polynomial, int or Q(t) element)."""
-        if isinstance(p, (int, LaurentPoly, RationalFunction)):
-            return QModLambda.from_ratfunc(self.representative() * p)
+        if isinstance(p, RationalFunction):
+            return QModLambda._pair(self._num * LaurentPoly._of(0, p.num),
+                                    self._den * LaurentPoly._of(0, p.den))
+        if isinstance(p, (int, LaurentPoly)):
+            return QModLambda._pair(self._num * p, self._den)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if self.is_zero():
+        frac_val, frac_coeffs, prop_num, prop_den = self._fields()
+        if not frac_coeffs and not prop_num:
             return "0"
         parts: list[str] = []
-        if self.frac_coeffs:
-            parts.append(_fmt_fraction_laurent(self.frac_val, self.frac_coeffs))
-        if self.prop_num:
-            num = _fmt_fraction_laurent(0, self.prop_num)
-            parts.append(f"({num})/({LaurentPoly(0, self.prop_den)})")
+        if frac_coeffs:
+            parts.append(_fmt_fraction_laurent(frac_val, frac_coeffs))
+        if prop_num:
+            num = _fmt_fraction_laurent(0, prop_num)
+            parts.append(f"({num})/({LaurentPoly(0, prop_den)})")
         return " + ".join(parts)
 
     def __repr__(self) -> str:

@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +204,13 @@ def test_non_finite_z_is_input_error(capsys, z):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "finite" in err
+
+
+# stdout of the eager-canonicalising implementation, byte for byte
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_output_matches_golden(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, out, err) == (0, GOLDEN[command], "")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from blanchfield.laurent import LaurentPoly, T, ONE, ZERO
+from blanchfield.laurent import LaurentPoly, T, ONE, ZERO, divides
 
 laurents = st.builds(
     LaurentPoly,
@@ -58,6 +58,26 @@ def test_exact_div():
     assert p.exact_div(T - 1) == (T + 1) * LaurentPoly(-2, (3,))
     with pytest.raises(ArithmeticError):
         (T + 1).exact_div(T - 1)
+
+
+def test_exact_div_by_an_int():
+    # an int divisor is a constant, as for + and *
+    assert LaurentPoly(-1, (4, 6)).exact_div(2) == LaurentPoly(-1, (2, 3))
+    with pytest.raises(ArithmeticError, match="not exact"):
+        ONE.exact_div(2)
+    with pytest.raises(ZeroDivisionError):
+        ONE.exact_div(0)
+    assert divides(2, LaurentPoly(3, (4, -2))) and not divides(2, T + 1)
+    assert divides(-1, T - 1)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, "2", None])
+def test_exact_div_rejects_other_divisor_types(bad):
+    # a TypeError, not an ArithmeticError that divides() would read as "no"
+    with pytest.raises(TypeError, match="cannot divide"):
+        ONE.exact_div(bad)
+    with pytest.raises(TypeError):
+        divides(bad, ONE)
 
 
 def test_unit_multiple():
@@ -144,6 +164,16 @@ def test_constructor_rejects_non_integral_coefficients():
                         ([float("nan")], "nan"), ([None], "None")):
         with pytest.raises(TypeError, match=re.escape(bad)):
             LaurentPoly(0, coeffs)
+
+
+def test_constructor_rejects_non_integral_valuation():
+    # LaurentPoly(1.5, (1,)) used to construct, and its repr raised
+    for val, bad in ((1.5, "1.5"), (Fraction(1, 2), "Fraction(1, 2)"), ("1", "'1'"),
+                     (None, "None")):
+        with pytest.raises(TypeError, match=f"valuation {re.escape(bad)} is not"):
+            LaurentPoly(val, (1,))
+    p = LaurentPoly(2.0, (1,))
+    assert type(p.val) is int and repr(p) == "LaurentPoly('t^2')"
 
 
 def test_constructor_accepts_numpy_integers():

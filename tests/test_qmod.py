@@ -193,3 +193,118 @@ def test_representative_differs_by_laurent_sympy():
         den = sp.Poly(sp.denom(diff), t)
         assert den.is_monomial and abs(den.LC()) == 1
         assert all(c.is_integer for c in sp.Poly(sp.numer(diff), t).all_coeffs())
+
+
+# --- lazy pairs against eager canonical forms --------------------------------
+
+def fields(cls):
+    return cls.frac_val, cls.frac_coeffs, cls.prop_num, cls.prop_den
+
+
+def eager(num, den):
+    return canonical_class(RF(num, den))
+
+
+# denominators with t^m factors and content > 1
+dens = st.builds(lambda q, m, k: q * LaurentPoly(m, (k,)),
+                 laurents.filter(bool), st.integers(-3, 3), st.sampled_from([1, -1, 2, 6]))
+pairs = st.tuples(laurents, dens)
+
+
+@st.composite
+def related_pairs(draw):
+    """Two pairs whose denominators are shared, conjugate, unit multiples,
+    unrelated, or which present one class over different denominators."""
+    n1, d1 = draw(pairs)
+    n2 = draw(laurents)
+    how = draw(st.sampled_from(["shared", "conjugate", "unit", "other", "same class"]))
+    if how == "shared":
+        d2 = d1
+    elif how == "conjugate":
+        d2 = d1.conjugate()
+    elif how == "unit":
+        d2 = d1 * LaurentPoly(draw(st.integers(-2, 2)), (draw(st.sampled_from([1, -1])),))
+    elif how == "other":
+        d2 = draw(dens)
+    else:
+        f = draw(dens)
+        n2, d2 = (n1 + d1 * draw(laurents)) * f, d1 * f
+    return (n1, d1), (n2, d2)
+
+
+@given(related_pairs())
+def test_lazy_equality_matches_canonical_forms(ab):
+    (n1, d1), (n2, d2) = ab
+    a, b = QModLambda._pair(n1, d1), QModLambda._pair(n2, d2)
+    ea, eb = eager(n1, d1), eager(n2, d2)
+    same = fields(ea) == fields(eb)
+    assert (a == b) == (b == a) == (a == eb) == same
+    assert a.is_zero() == (not a) == (fields(ea) == fields(QModLambda.zero()))
+    if a == b:
+        assert hash(a) == hash(b) == hash(eb)
+    x, y = RF(n1, d1), RF(n2, d2)
+    assert fields(a + b) == fields(canonical_class(x + y))
+    assert fields(a - b) == fields(canonical_class(x - y))
+    assert fields(-a) == fields(canonical_class(-x))
+    assert fields(a.conjugate()) == fields(canonical_class(x.conjugate()))
+    assert str(a) == str(ea) and repr(a) == repr(ea)
+
+
+@given(pairs, laurents, st.integers(-4, 4), ratfuncs)
+def test_lazy_scaling_matches_canonical_forms(pair, p, k, r):
+    a, x = QModLambda._pair(*pair), RF(*pair)
+    for s in (p, k, r):
+        assert fields(a * s) == fields(s * a) == fields(canonical_class(x * s))
+
+
+def test_constructed_instance_is_its_representative():
+    # the positional constructor takes canonical fields; its pair is the
+    # representative, so it compares by the same rule as a lazy pair
+    cls = QModLambda(-1, (Fraction(1, 2),), (Fraction(0), Fraction(-1, 3)), (1, -1, 1))
+    x = RF(LaurentPoly(-1, (1,)), 2) + RF(LaurentPoly(1, (-1,)), LaurentPoly(0, (3, -3, 3)))
+    # (1/2)t^-1 - (1/3)t/(t^2 - t + 1) over 6(t^2 - t + 1)
+    pair = LaurentPoly(-1, (3, -3, 1)), LaurentPoly(0, (6, -6, 6))
+    assert (cls._num, cls._den) == pair
+    assert cls == QModLambda._pair(*pair) == QModLambda._pair(pair[0] + pair[1] * T, pair[1])
+    assert fields(canonical_class(x)) == fields(cls)
+    assert cls.representative() == x
+
+
+def _count_canonicalisations(monkeypatch):
+    calls = []
+    from_ratfunc = QModLambda.from_ratfunc
+    monkeypatch.setattr(QModLambda, "from_ratfunc",
+                        lambda x: calls.append(x) or from_ratfunc(x))
+    return calls
+
+
+def test_pair_operations_never_canonicalise(monkeypatch):
+    a, b = QModLambda._pair(T, T - 1), QModLambda._pair(1 - T, T * T - 1)
+    calls = _count_canonicalisations(monkeypatch)
+    assert a != b and a == a * T and not (a + a.conjugate())
+    assert (a - b) * RF(2, T + 1) == -(b - a) * RF(2, T + 1)
+    assert calls == []
+    assert str(a) == "(1)/(t - 1)" and repr(a) == "QModLambda('(1)/(t - 1)')"
+    assert hash(b) == hash(b)
+    assert len(calls) == 2  # once per instance, then cached
+
+
+BUILTINS = ("unknot", "trefoil", "figure-eight", "cinquefoil", "trefoil-fibred",
+            "trefoil-dual")
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_verify_never_canonicalises(monkeypatch, name):
+    from blanchfield.catalog import builtin
+    from blanchfield.verify import verify_entry
+    calls = _count_canonicalisations(monkeypatch)
+    assert all(r.passed for r in verify_entry(builtin(name)))
+    assert calls == []
+
+
+def test_cli_canonicalises_each_printed_value_once(monkeypatch, capsys):
+    from blanchfield.cli import main
+    calls = _count_canonicalisations(monkeypatch)
+    assert main(["pairing", "trefoil"]) == 0
+    assert capsys.readouterr().out.count("/(t^2 - t + 1)") == 4
+    assert len(calls) == 4  # n^2 values of the 2 x 2 generator matrix

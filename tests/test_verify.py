@@ -8,7 +8,8 @@ from blanchfield.laurent import T
 from blanchfield.matrix import LAURENT, ZZ, Matrix
 from blanchfield.pairing import (SeifertData, as_laurent_vector, basis_vector,
                                  from_seifert, kearton_value, stabilize)
-from blanchfield.verify import (check_hermitian, check_kearton, check_mk,
+from blanchfield.verify import (check_consistency, check_fibred_specialization,
+                                check_hermitian, check_kearton, check_mk,
                                 check_nonsingular, check_sesquilinear,
                                 check_well_defined, kearton_witness,
                                 seifert_entry, verify_entry, verify_random)
@@ -97,6 +98,34 @@ def test_checks_fail_on_broken_pairings(check, swap):
     assert not result.passed
     assert result.line().startswith(f"{result.name}: FAIL")
     assert result.counterexample.startswith(render_entry(entry))
+
+
+@pytest.mark.parametrize("swap", [
+    lambda ev: {"_numer": ev._numer.map_entries(lambda e: T * e)},
+    lambda ev: {"_denom": 2 * ev._denom},
+], ids=["value-times-t", "half-value"])
+def test_cross_denominator_checks_fail_on_broken_evaluators(monkeypatch, swap):
+    # negative controls for the two checks that compare values over different
+    # denominators (dual surface against Seifert or fibred): a broken
+    # dual-surface evaluator must make both fail
+    import blanchfield.verify as verify
+    build = verify.from_dual_surface
+
+    def broken(data):
+        evaluator = build(data)
+        evaluator.__dict__.update(swap(evaluator))
+        return evaluator
+
+    monkeypatch.setattr(verify, "from_dual_surface", broken)
+    fibred = builtin("trefoil-fibred")
+    entry = seifert_entry(TREFOIL)
+    for result, text in (
+            (check_consistency(TREFOIL, entry, random.Random(0), trials=20),
+             render_entry(entry)),
+            (check_fibred_specialization(fibred.data(), fibred), render_entry(fibred))):
+        assert not result.passed
+        assert result.line().startswith(f"{result.name}: FAIL")
+        assert result.counterexample.startswith(text)
 
 
 def test_verify_random_is_deterministic():
