@@ -6,7 +6,7 @@ The package computes, in exact arithmetic over Z[t,t^-1] and Q(t):
     monodromy data, or by general dual-surface inclusion data;
   * the hermitian presentation matrix M_K(t) with its symplectic
     normalization;
-  * Alexander polynomials and (numerically) Levine-Tristram signatures;
+  * Alexander polynomials and Levine-Tristram signatures;
 
 together with executable checks of the structural facts: the pairings
 are well-defined, sesquilinear, hermitian and nonsingular, the classical

@@ -189,6 +189,42 @@ def div_exact(a, b) -> tuple:
     return tuple(q)
 
 
+def derivative(a) -> tuple:
+    return trim(tuple(k * c for k, c in enumerate(a))[1:])
+
+
+def sign_at(a, u: int, v: int) -> int:
+    """Sign of a(u/v) for v > 0, by homogeneous Horner in integers; v = 0
+    gives the sign of lc(a) * u^deg(a), the sign at u * infinity.
+
+    >>> sign_at((1, 0, -3), 1, 2), sign_at((1, 0, -3), 1, 1), sign_at((), 5, 1)
+    (1, -1, 0)
+    """
+    h, vp = 0, 1
+    for c in reversed(a):
+        h = h * u + c * vp
+        vp *= v
+    return (h > 0) - (h < 0)
+
+
+def sturm_chain(a) -> tuple:
+    """The Sturm sequence a, a', -rem(a, a'), ... of a nonzero polynomial,
+    each term divided by a positive integer.  For x < y not roots of a, the
+    number of distinct real roots in (x, y] is the number of sign changes
+    along the chain at x minus that at y (Sturm 1829), zeros skipped.
+
+    >>> sturm_chain((-1, 0, 1))
+    ((-1, 0, 1), (0, 1), (1,))
+    """
+    chain = [primitive(a), primitive(derivative(a))]
+    while len(chain[-1]) > 1:
+        r = pseudo_divmod(chain[-2], chain[-1])[2]
+        if not r:
+            break
+        chain.append(neg(primitive(r)))
+    return tuple(c for c in chain if c)
+
+
 def scaled_series_inverse(b, m: int) -> tuple:
     """e with e*b = b[0]^m mod t^m (b[0] != 0, m >= 1); exact, as the n-th
     coefficient of 1/b over Q has a denominator dividing b[0]^(n+1)."""

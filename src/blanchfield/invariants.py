@@ -1,31 +1,59 @@
-"""Alexander polynomials and Levine-Tristram signatures.
+"""Alexander polynomials and exact Levine-Tristram signatures.
 
 The Alexander polynomial is computed exactly as det(tA - A^T) and
 normalized by a unit so that Delta(t) = Delta(1/t) and Delta(1) = 1.
-Signatures are numerical: the hermitian matrix (1-z)A + (1-conj(z))A^T
-is diagonalized in double precision, with eigenvalues below a relative
-threshold of 1e-9 rejected as indeterminate.  Signatures are locally
-constant away from unit-circle roots of the Alexander polynomial, so
-the tolerance is safe at this scale; no exactness is claimed for them.
+
+Signatures are exact.  A point z = e^(i theta) != 1 of the unit circle
+is named by its slope s = tan(theta/2); z and conj(z) carry complex
+conjugate forms, so only |s| in (0, inf] matters, with s = inf at z = -1.
+For s = p/q (q = 0 at z = -1),
+
+    z = (q^2 - p^2 + 2ipq) / (p^2 + q^2),
+    (1 - z)A + (1 - conj z)A^T = 2p/(p^2 + q^2) * H,
+    H = p(A + A^T) + iq(A^T - A),
+
+so the signature is that of the Gaussian-integer hermitian matrix H.
+The form is singular exactly where Delta(z) = 0.  Write det(tA - A^T) =
+t^val P(t), P palindromic of degree d; then
+E(s) = P((1 + is)/(1 - is)) (1 - is)^d is a real, even integer polynomial
+F(s^2) of degree at most d, whose positive roots are the slopes of the
+Alexander roots on the circle.  Sturm sequences (Sturm 1829) of the square-free part of F
+isolate those roots in disjoint rational intervals, once per SeifertData
+(and once per MKForm, from det M_K, a unit multiple of Delta: the same
+arcs).  The signature is constant on each arc between two roots, so it
+is computed once per arc, at the interval end next to it or at z = -1,
+by Sylvester's law of inertia: fraction-free symmetric elimination of
+the real 2n x 2n embedding of H.  sign(M_K(z)) is found the same way
+from c^D M_K(u/c), u = q^2 - p^2 + 2ipq, c = p^2 + q^2 > 0.
+
+A float z is read exactly: s = Im z / (1 + Re z), or (1 - Re z) / Im z
+for Re z < 0 (the same number on the circle, without the cancellation
+near -1).  The float stands for every point within its precision, so
+the signature is indeterminate, IndeterminateSignatureError, exactly
+when a root of E lies in the window [s/(1 + 2^-40), s(1 + 2^-40)].  The
+arc of s is found by narrowing only the root intervals that the window
+touches.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from fractions import Fraction
 
-import numpy as np
-
+from . import _polyops
 from .laurent import LaurentPoly
 from .mkform import MKForm
 from .pairing import SeifertData
 
-ZERO_EIGENVALUE_RTOL = 1e-9
 UNIT_CIRCLE_TOL = 1e-9
+SLOPE_WINDOW = Fraction(1, 2**40)  # relative input precision of a float z
+_NEAR_ROOT = "an Alexander root lies within relative 2^-40 of the slope of z"
 
 
 class IndeterminateSignatureError(ArithmeticError):
-    """The hermitian form is numerically singular at the requested point."""
+    """An Alexander root lies within the input precision of the requested point."""
 
 
 def alexander_polynomial(data: SeifertData) -> LaurentPoly:
@@ -58,43 +86,226 @@ def _check_circle_point(z: complex) -> complex:
     return z
 
 
-def _hermitian_signature(h: np.ndarray) -> int:
-    n = h.shape[0]
-    if n == 0:
-        return 0
-    eigs = np.linalg.eigvalsh(h)
-    scale = float(np.max(np.abs(eigs)))
-    if scale == 0.0:
-        raise IndeterminateSignatureError("form is numerically zero")
-    tol = ZERO_EIGENVALUE_RTOL * scale
-    if np.any(np.abs(eigs) < tol):
-        raise IndeterminateSignatureError(
-            f"eigenvalue below threshold {tol:g}; z is too close to an Alexander root")
-    return int(np.sum(eigs > 0) - np.sum(eigs < 0))
+def _slope(z: complex) -> Fraction | None:
+    """|tan(theta/2)| for z = e^(i theta), read exactly off the floats of z;
+    None (infinity) at z = -1."""
+    re, im = Fraction(z.real), Fraction(z.imag)
+    if re >= 0:
+        return abs(im / (1 + re))
+    return abs((1 - re) / im) if im else None
+
+
+def _circle_polynomial(p: tuple) -> tuple:
+    """F with P((1 + is)/(1 - is)) (1 - is)^d = F(s^2), d = deg P, for a
+    palindromic integer polynomial P: the coefficient of s^2m is
+    (-1)^m sum_k p_k sum_j (-1)^j C(k, j) C(d - k, 2m - j)."""
+    if p != p[::-1]:
+        raise ArithmeticError(f"{p} is not palindromic; no real slope polynomial")
+    d = len(p) - 1
+    return _polyops.trim(tuple(
+        (-1) ** m * sum(c * sum((-1) ** j * math.comb(k, j) * math.comb(d - k, 2 * m - j)
+                                for j in range(min(k, 2 * m) + 1))
+                        for k, c in enumerate(p))
+        for m in range(d // 2 + 1)))
+
+
+def _inertia(m) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a symmetric integer matrix.
+
+    Symmetric fraction-free (Bareiss) elimination with diagonal pivots:
+    the k-th pivot D_k is a leading principal minor after a symmetric
+    permutation, and contributes sign(D_k / D_(k-1)) (Sylvester's law of
+    inertia).  When every remaining diagonal entry is 0 but some m_ij is
+    not, the unimodular congruence row_i += row_j, col_i += col_j puts
+    2 m_ij on the diagonal; an all-zero remainder is the kernel.
+
+    >>> _inertia([]), _inertia([[0, 1], [1, 0]]), _inertia([[2, 2], [2, 2]])
+    ((0, 0, 0), (1, 1, 0), (1, 0, 1))
+    """
+    m = [list(row) for row in m]
+    n = len(m)
+    pos = neg = 0
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j]),
+                        None)
+            if pair is None:
+                return pos, neg, n - k
+            piv, j = pair
+            for c in range(k, n):
+                m[piv][c] += m[j][c]
+            for r in range(k, n):
+                m[r][piv] += m[r][j]
+        m[k], m[piv] = m[piv], m[k]
+        for row in m:
+            row[k], row[piv] = row[piv], row[k]
+        d, top = m[k][k], m[k]
+        if (d > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            row, mik = m[i], m[i][k]
+            for j in range(i, n):
+                row[j] = m[j][i] = (d * row[j] - mik * top[j]) // prev
+        prev = d
+    return pos, neg, 0
+
+
+def _embed(re, im) -> list[list[int]]:
+    """The real symmetric matrix [[Re, -Im], [Im, Re]] of the hermitian
+    Re + i Im; it has every eigenvalue of Re + i Im twice."""
+    return ([r + [-x for x in i] for r, i in zip(re, im)]
+            + [i + r for r, i in zip(re, im)])
+
+
+def _seifert_form(a, p: int, q: int) -> list[list[int]]:
+    """Embedded H = p(A + A^T) + iq(A^T - A) for the integer rows a of A."""
+    n = len(a)
+    return _embed([[p * (a[i][j] + a[j][i]) for j in range(n)] for i in range(n)],
+                  [[q * (a[j][i] - a[i][j]) for j in range(n)] for i in range(n)])
+
+
+def _mk_form(entries, p: int, q: int) -> list[list[int]]:
+    """Embedded c^D M_K(u/c), u = q^2 - p^2 + 2ipq, c = p^2 + q^2, with D
+    the largest |exponent| in M_K; t^-k is conj(u)^k / c^k on the circle."""
+    c = p * p + q * q
+    top = max((max(-e.val, e.degree()) for row in entries for e in row if e), default=0)
+    powers = [(1, 0)]
+    for _ in range(top):
+        x, y = powers[-1]
+        powers.append((x * (q * q - p * p) - y * 2 * p * q, x * 2 * p * q + y * (q * q - p * p)))
+    re = [[0] * len(row) for row in entries]
+    im = [[0] * len(row) for row in entries]
+    for i, row in enumerate(entries):
+        for j, e in enumerate(row):
+            for k, a in enumerate(e.coeffs, e.val):
+                x, y = powers[abs(k)]
+                w = a * c ** (top - abs(k))
+                re[i][j] += w * x
+                im[i][j] += w * y if k >= 0 else -w * y
+    return _embed(re, im)
+
+
+class _SignatureSteps:
+    """A signature as a step function of the slope s in (0, inf].
+
+    jumps is a Laurent polynomial vanishing on the circle exactly where
+    the form is singular; form_at(p, q) is the embedded integer matrix
+    whose inertia is twice the signature at slope p/q (q = 0 at z = -1).
+    """
+
+    def __init__(self, jumps: LaurentPoly, form_at):
+        f = _circle_polynomial(jumps.coeffs)
+        common = _polyops.gcd_poly(f, _polyops.derivative(f))
+        self._f = f = _polyops.div_exact(f, common) if len(common) > 1 else f
+        self._form_at = form_at
+        self._values: dict[int, int] = {}
+        chain = _polyops.sturm_chain(f)
+
+        def changes(s: Fraction) -> int:
+            signs = [x for x in (self._sign(g, s) for g in chain) if x]
+            return sum(a != b for a, b in zip(signs, signs[1:]))
+
+        # Cauchy's bound: every root x of f has |x| < 1 + max |f_k / lc(f)|
+        hi = Fraction(math.isqrt(2 + max(map(abs, f[:-1]), default=0) // abs(f[-1])) + 1)
+        stack, roots = [(Fraction(0), hi, changes(Fraction(0)), changes(hi))], []
+        while stack:
+            lo, hi, vlo, vhi = stack.pop()
+            if vlo - vhi == 1:
+                roots.append([lo, hi])
+            elif vlo > vhi:
+                mid = self._split(lo, hi)
+                vmid = changes(mid)
+                stack += [(mid, hi, vmid, vhi), (lo, mid, vlo, vmid)]
+        if roots:
+            while not roots[0][0]:
+                self._narrow(roots[0], self._split(*roots[0]))
+        # one root in each open interval, none at an end; arc k (below the
+        # k-th root) takes its sample at the interval's lower end, the last
+        # arc at z = -1
+        self._roots = roots
+        self._samples = [lo for lo, _ in roots] + [None]
+
+    @staticmethod
+    def _sign(g, s: Fraction) -> int:
+        return _polyops.sign_at(g, s.numerator ** 2, s.denominator ** 2)
+
+    def _split(self, lo: Fraction, hi: Fraction) -> Fraction:
+        """A point of (lo, hi) that is not a root."""
+        mid = (lo + hi) / 2
+        while not self._sign(self._f, mid):
+            mid = (lo + mid) / 2
+        return mid
+
+    def _narrow(self, interval: list, w: Fraction) -> None:
+        """Keep the side of w (inside interval, not a root) holding the root."""
+        if self._sign(self._f, w) == self._sign(self._f, interval[0]):
+            interval[0] = w
+        else:
+            interval[1] = w
+
+    def _arc(self, s: Fraction | None) -> int:
+        """Number of roots below s; raises when one lies in the window of s."""
+        if s is None:
+            return len(self._roots)
+        window = (s / (1 + SLOPE_WINDOW), s * (1 + SLOPE_WINDOW))
+        below = 0
+        for interval in self._roots:
+            for w in window:
+                if interval[0] < w < interval[1]:
+                    if not self._sign(self._f, w):
+                        raise IndeterminateSignatureError(_NEAR_ROOT)
+                    self._narrow(interval, w)
+            if interval[1] <= window[0]:
+                below += 1
+            elif interval[0] < window[1]:
+                raise IndeterminateSignatureError(_NEAR_ROOT)
+            else:
+                break
+        return below
+
+    def at(self, s: Fraction | None) -> int:
+        """The signature at slope s (None for z = -1)."""
+        arc = self._arc(s)
+        if arc not in self._values:
+            sample = self._samples[arc]
+            p, q = (1, 0) if sample is None else (sample.numerator, sample.denominator)
+            pos, neg, zero = _inertia(self._form_at(p, q))
+            if zero:
+                raise AssertionError("form singular away from the Alexander roots")
+            self._values[arc] = (pos - neg) // 2
+        return self._values[arc]
+
+
+def _steps(owner: SeifertData | MKForm, build) -> _SignatureSteps:
+    """The step function kept on owner, built on first use."""
+    steps = vars(owner).get("_signature_steps")
+    if steps is None:
+        steps = owner._signature_steps = build()
+    return steps
 
 
 def levine_tristram_signature(data: SeifertData, z: complex) -> int:
     """Signature of (1-z)A + (1-conj(z))A^T at a unit-circle point z != 1."""
-    z = _check_circle_point(z)
-    n = data.size
-    if n == 0:
+    s = _slope(_check_circle_point(z))
+    if data.size == 0:
         return 0
-    a = np.array(data.matrix.entries, dtype=complex)
-    h = (1 - z) * a + (1 - z.conjugate()) * a.T
-    if not np.allclose(h, h.conj().T):
-        raise AssertionError("Levine-Tristram form is not hermitian")
-    return _hermitian_signature(h)
+    steps = _steps(data, lambda: _SignatureSteps(
+        data.adjugate[1], functools.partial(_seifert_form, data.matrix.entries)))
+    return steps.at(s)
 
 
 def mk_signature(form: MKForm, z: complex) -> int:
-    """Signature of the numerically evaluated hermitian matrix M_K(z)."""
-    z = _check_circle_point(z)
+    """Signature of the hermitian matrix M_K(z)."""
+    s = _slope(_check_circle_point(z))
     if form.size == 0:
         return 0
-    h = np.array(form.evaluate(z), dtype=complex)
-    if not np.allclose(h, h.conj().T):
-        raise AssertionError("M_K(z) did not evaluate to a hermitian matrix")
-    return _hermitian_signature(h)
+    steps = _steps(form, lambda: _SignatureSteps(
+        form.determinant(), functools.partial(_mk_form, form.mk.entries)))
+    return steps.at(s)
 
 
 def signature_profile(data: SeifertData,

@@ -136,10 +136,6 @@ class MKForm:
     def size(self) -> int:
         return self.mk.rows
 
-    def evaluate(self, z: complex) -> list[list[complex]]:
-        """Numerical matrix M_K(z)."""
-        return [[e.evaluate(z) for e in row] for row in self.mk.entries]
-
     def determinant(self) -> LaurentPoly:
         return self._det
 

@@ -5,8 +5,9 @@ a pairing produces it (v^T N conj(w) over det P); the pair is neither
 reduced nor unique.  Equality takes one exact division: Lambda is a UFD,
 in particular a domain with fraction field Q(t), so a/b lies in Lambda
 exactly when b divides a there.  Hence n/d is zero exactly when d | n,
-and n1/d1 = n2/d2 exactly when d1*d2 | n1*d2 - n2*d1 (d | n1 - n2 for a
-shared d); as t is a unit, that is integer long division of coefficient
+and n1/d1 = n2/d2 exactly when d1*d2 | n1*d2 - n2*d1, or d2 | u*n1 - n2
+when d2 = u*d1 for a unit u = +-t^k (a shared d, or a symmetric d and its
+conjugate); as t is a unit, that is integer long division of coefficient
 tuples.  Sums, negation, conjugation and scaling are pair arithmetic too,
 so checking a pairing's properties reduces no fraction.
 
@@ -151,6 +152,11 @@ class QModLambda:
         n1, d1, n2, d2 = self._num, self._den, other._num, other._den
         if d1 == d2:
             return QModLambda._pair(n1 + n2, d1)
+        if d1.is_unit_multiple_of(d2):
+            # d2 = +-t^k d1, so n1/d1 = +-t^k n1 / d2
+            signed = n1.coeffs if d1.coeffs == d2.coeffs else _polyops.neg(n1.coeffs)
+            n1 = LaurentPoly._of(n1.val + d2.val - d1.val, signed)
+            return QModLambda._pair(n1 + n2, d2)
         return QModLambda._pair(n1 * d2 + n2 * d1, d1 * d2)
 
     def __neg__(self) -> QModLambda:

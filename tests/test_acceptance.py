@@ -2,8 +2,7 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the report lines.
 All equalities are exact (canonical forms over Z[t,t^-1], Q(t) and
-Q/Lambda) except signatures, which are integers computed with the
-documented 1e-9 relative eigenvalue threshold.
+Q/Lambda), and so are the signatures (integer inertia on Sturm arcs).
 """
 
 import cmath

@@ -1,6 +1,10 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and
+importing the CLI needs nothing beyond the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,20 @@ def test_unused_imports_are_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_loads_no_numpy():
+    code = "import sys, blanchfield.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(blanchfield.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_package_has_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(blanchfield.__file__).parent.parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+    assert any(dep.startswith("numpy") for dep in project["optional-dependencies"]["test"])

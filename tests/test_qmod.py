@@ -213,17 +213,22 @@ pairs = st.tuples(laurents, dens)
 
 @st.composite
 def related_pairs(draw):
-    """Two pairs whose denominators are shared, conjugate, unit multiples,
-    unrelated, or which present one class over different denominators."""
+    """Two pairs whose denominators are shared, conjugate, +-t^k multiples,
+    unrelated, or which present one class over different denominators
+    (unrelated or +-t^k multiples)."""
     n1, d1 = draw(pairs)
     n2 = draw(laurents)
-    how = draw(st.sampled_from(["shared", "conjugate", "unit", "other", "same class"]))
+    how = draw(st.sampled_from(["shared", "conjugate", "unit", "other", "same class",
+                                "same class, unit"]))
+    unit = LaurentPoly(draw(st.integers(-2, 2)), (draw(st.sampled_from([1, -1])),))
     if how == "shared":
         d2 = d1
     elif how == "conjugate":
         d2 = d1.conjugate()
     elif how == "unit":
-        d2 = d1 * LaurentPoly(draw(st.integers(-2, 2)), (draw(st.sampled_from([1, -1])),))
+        d2 = d1 * unit
+    elif how == "same class, unit":
+        n2, d2 = (n1 + d1 * draw(laurents)) * unit, d1 * unit
     elif how == "other":
         d2 = draw(dens)
     else:
@@ -248,6 +253,21 @@ def test_lazy_equality_matches_canonical_forms(ab):
     assert fields(-a) == fields(canonical_class(-x))
     assert fields(a.conjugate()) == fields(canonical_class(x.conjugate()))
     assert str(a) == str(ea) and repr(a) == repr(ea)
+
+
+@given(pairs, laurents, st.integers(-2, 2), st.sampled_from([1, -1]))
+def test_unit_multiple_denominators_add_over_one_of_them(a, n2, k, sign):
+    # d2 = +-t^k d1: the sum stays over d2
+    n1, d1 = a
+    d2 = d1 * LaurentPoly(k, (sign,))
+    total = QModLambda._pair(n1, d1) + QModLambda._pair(n2, d2)
+    assert total._den == d2
+    assert fields(total) == fields(canonical_class(RF(n1, d1) + RF(n2, d2)))
+    # conj(d) = t^-6 d for d = t^3 d1 conj(d1), as conj(det(tA - A^T)) = t^-2g det(tA - A^T)
+    d = d1 * d1.conjugate() * LaurentPoly(3, (1,))
+    x, y = QModLambda._pair(n1, d), RF(n1, d)
+    assert (x + x.conjugate())._den == d.conjugate()
+    assert fields(x - x.conjugate()) == fields(canonical_class(y - y.conjugate()))
 
 
 @given(pairs, laurents, st.integers(-4, 4), ratfuncs)
