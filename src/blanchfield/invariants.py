@@ -1,6 +1,7 @@
 """Alexander polynomials and exact Levine-Tristram signatures.
 
-The Alexander polynomial is computed exactly as det(tA - A^T) and
+The Alexander polynomial is det(tA - A^T), read off the data object's
+cached elimination (tA - A^T is nonsingular, as det(A - A^T) = 1), and
 normalized by a unit so that Delta(t) = Delta(1/t) and Delta(1) = 1.
 
 Signatures are exact.  A point z = e^(i theta) != 1 of the unit circle
@@ -58,11 +59,7 @@ class IndeterminateSignatureError(ArithmeticError):
 
 def alexander_polynomial(data: SeifertData) -> LaurentPoly:
     """det(tA - A^T), normalized so Delta(t) = Delta(1/t) and Delta(1) = 1."""
-    if data.size == 0:
-        return LaurentPoly.one()
-    det = data.presentation.det()
-    if det.is_zero():
-        raise ArithmeticError("det(tA - A^T) vanished; A is not a Seifert matrix")
+    det = data.adjugate[1]
     if det.coeffs != tuple(reversed(det.coeffs)):
         raise ArithmeticError("det(tA - A^T) is not palindromic; invalid input")
     center = det.val + det.degree()

@@ -18,12 +18,33 @@ at the same column, and returns the same (adj, det) as Bareiss over
 Z[t,t^-1].  B grows like n log(n (d + 1) max|coefficient|) for an
 n x n matrix whose rows span d + 1 powers of t, and the integers have at
 most about (n d + 1) B bits, so the cost stays polynomial in the input.
+
+Every product of a Laurent matrix with a Laurent vector, m w for
+Matrix.mul_vec and Matrix * Matrix (one column at a time) and the
+sesquilinear form v^T m w of the pairings, runs through one kernel,
+_kronecker_apply, on the same packing.  Packing at t = 2^B is a ring
+map from polynomials to integers, so row i of m w is the integer
+sum_j m_ij(2^B) w_j(2^B) read back once, and v^T m w is one integer
+dot product of the packed v_i with those sums, read back once; only the
+rows in v's support are formed.  Every coefficient of the result is at
+most X in absolute value, for X = sum_i |v_i| * max_ij |m_ij| * sum_j |w_j|
+(|p| the coefficient 1-norm of p, sum_i |v_i| taken as 1 for m w, the
+max over the rows read), and signed base-2^B digits hold exactly the
+coefficients below 2^(B-1) in absolute value, so B is the bit length of
+X plus 1, rounded up to a multiple of 32 so that calls share packed
+rows.  Each row is shifted by a power of t and packed lazily, once per
+width, in a memo on the matrix.  For an n x n matrix whose rows span
+d + 1 powers of t, v^T m w costs at most n^2 + n products of integers of
+about (d + 1) B bits and one read-back, with B about log2 X: polynomial
+in the input, and big-integer operations in place of n^2 Laurent
+products.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from typing import Callable, Sequence
 
 from .laurent import LaurentPoly
@@ -118,18 +139,10 @@ class Matrix:
         return self.conjugate().transpose()
 
     def __add__(self, other: Matrix) -> Matrix:
-        self._same_shape(other)
-        return Matrix(self.ring,
-                      [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)],
-                      cols=self.cols)
+        return self._zip(other, operator.add)
 
     def __sub__(self, other: Matrix) -> Matrix:
-        self._same_shape(other)
-        return Matrix(self.ring,
-                      [[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)],
-                      cols=self.cols)
+        return self._zip(other, operator.sub)
 
     def __neg__(self) -> Matrix:
         return self.map_entries(lambda e: -e)
@@ -139,9 +152,9 @@ class Matrix:
             if self.cols != other.rows:
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            cols = [other.column(j) for j in range(other.cols)]
-            out = [[_dot(row, col, self.ring) for col in cols] for row in self.entries]
-            return Matrix(self.ring, out, cols=other.cols)
+            cols = [self.mul_vec(other.column(j)) for j in range(other.cols)]
+            return Matrix(self.ring, [[col[i] for col in cols] for i in range(self.rows)],
+                          cols=other.cols)
         return self.map_entries(lambda e: e * other)
 
     def __rmul__(self, other):
@@ -150,11 +163,16 @@ class Matrix:
     def mul_vec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
             raise ValueError(f"vector of length {len(v)} against {self.rows}x{self.cols}")
-        return tuple(_dot(row, v, self.ring) for row in self.entries)
+        if self.ring is LAURENT:
+            return _kronecker_apply(self, [LaurentPoly.const(e) if isinstance(e, int) else e
+                                           for e in v])
+        return tuple(sum(map(operator.mul, row, v), self.ring.zero) for row in self.entries)
 
-    def _same_shape(self, other: Matrix) -> None:
+    def _zip(self, other: Matrix, op: Callable) -> Matrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("matrix shapes differ")
+        return Matrix(self.ring, [list(map(op, ra, rb))
+                                  for ra, rb in zip(self.entries, other.entries)], cols=self.cols)
 
     def det(self):
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -252,9 +270,8 @@ def _kronecker_eliminate(m: Matrix, jordan: bool) -> tuple[list[list], LaurentPo
     For D = diag(t^s_i) and S = sum s_i, adj(DM) = t^S adj(M) D^-1 and
     det(DM) = t^S det(M) undo the row shifts.
     """
-    shifts = [-min((e.val for e in row if e), default=0) for row in m.entries]
-    bits = math.prod(1 + sum(abs(c) for e in row for c in e.coeffs)
-                     for row in m.entries).bit_length() + 2
+    shifts = [_shift(row) for row in m.entries]
+    bits = math.prod(1 + sum(map(_norm, row)) for row in m.entries).bit_length() + 2
     packed = Matrix(ZZ, [[_pack(e, s, bits) for e in row]
                          for row, s in zip(m.entries, shifts)], cols=m.cols)
     adj, d = packed._eliminate(jordan)
@@ -265,7 +282,10 @@ def _kronecker_eliminate(m: Matrix, jordan: bool) -> tuple[list[list], LaurentPo
 
 def _pack(e: LaurentPoly, shift: int, bits: int) -> int:
     """The value of t^shift e at t = 2^bits, for t^shift e a polynomial."""
-    return sum(c << bits * (e.val + shift + i) for i, c in enumerate(e.coeffs))
+    x = 0
+    for c in reversed(e.coeffs):
+        x = (x << bits) + c
+    return x << bits * (e.val + shift) if x else 0
 
 
 def _unpack(x: int, bits: int, val: int) -> LaurentPoly:
@@ -279,8 +299,43 @@ def _unpack(x: int, bits: int, val: int) -> LaurentPoly:
     return LaurentPoly._of(val, digits)
 
 
-def _dot(a: Sequence, b: Sequence, ring: Ring):
-    total = ring.zero
-    for x, y in zip(a, b):
-        total = total + x * y
-    return total
+def _kronecker_apply(m: Matrix, w: Sequence, v: Sequence | None = None):
+    """m w over Z[t,t^-1] as a tuple, or with v the polynomial v^T m w.
+
+    Only the rows in v's support are read.  The memo vars(m)["_packed"]
+    keeps each row's shift and largest entry 1-norm under its index i, and
+    the row packed at width B under (i, B), so each row is packed once per
+    width.
+    """
+    cols = [(j, e) for j, e in enumerate(w) if e.coeffs]
+    rows = range(m.rows) if v is None else [i for i, e in enumerate(v) if e.coeffs]
+    memo = vars(m).setdefault("_packed", {})
+    for i in rows:
+        if i not in memo:
+            memo[i] = (_shift(m.entries[i]), max(map(_norm, m.entries[i]), default=0))
+    bound = (max([memo[i][1] for i in rows], default=0) * sum([_norm(e) for _, e in cols])
+             * (1 if v is None else sum([_norm(v[i]) for i in rows])))
+    bits = (bound.bit_length() + 32) // 32 * 32
+    w_shift = _shift(w)
+    cols = [(j, _pack(e, w_shift, bits)) for j, e in cols]
+    sums = []
+    for i in rows:
+        packed = memo.get((i, bits))
+        if packed is None:
+            packed = memo[i, bits] = [_pack(e, memo[i][0], bits) for e in m.entries[i]]
+        sums.append(sum([packed[j] * x for j, x in cols]))
+    if v is None:
+        return tuple([_unpack(x, bits, -memo[i][0] - w_shift) for i, x in zip(rows, sums)])
+    top = max([memo[i][0] for i in rows], default=0)
+    v_shift = _shift(v)
+    total = sum([_pack(v[i], v_shift + top - memo[i][0], bits) * x for i, x in zip(rows, sums)])
+    return _unpack(total, bits, -v_shift - top - w_shift)
+
+
+def _shift(polys) -> int:
+    """The least k with t^k p a polynomial for every p in polys."""
+    return -min([p.val for p in polys if p.coeffs], default=0)
+
+
+def _norm(p: LaurentPoly) -> int:
+    return sum(map(abs, p.coeffs))

@@ -2,7 +2,10 @@
 
 Every pairing here is a Laurent numerator matrix N over one Laurent
 denominator d, and the value of (v, w) is the Q(t)/Z[t,t^-1] class of
-v^T N conj(w) / d.  The three sources of input data differ only in N
+v^T N conj(w) / d.  The numerator is one packed integer dot product
+(matrix._kronecker_apply): N's rows in v's support, packed at t = 2^B
+once per width, against conj(w) packed the same way, read back as one
+Laurent polynomial.  The three sources of input data differ only in N
 and d:
 
   * a Seifert matrix A of a knot presents Lambda^2g / P with
@@ -30,7 +33,7 @@ import functools
 from typing import Sequence
 
 from .laurent import LaurentPoly, T, divides
-from .matrix import LAURENT, QT, ZZ, Matrix, SingularMatrixError
+from .matrix import LAURENT, QT, ZZ, Matrix, SingularMatrixError, _kronecker_apply
 from .qmod import QModLambda
 from .ratfunc import RationalFunction
 
@@ -218,19 +221,9 @@ def _vectors(v: Sequence, w: Sequence, n: int) -> tuple[tuple, tuple]:
 
 
 def _sesquilinear(numer: Matrix, v: Sequence, w: Sequence) -> LaurentPoly:
-    """v^T numer conj(w), skipping zero coordinates of v and w."""
+    """v^T numer conj(w): one packed integer dot product."""
     v, w = _vectors(v, w, numer.rows)
-    w_bar = [None if wj.is_zero() else wj.conjugate() for wj in w]
-    total = LaurentPoly.zero()
-    for vi, row in zip(v, numer.entries):
-        if vi.is_zero():
-            continue
-        row_acc = LaurentPoly.zero()
-        for nij, wj in zip(row, w_bar):
-            if wj is not None:
-                row_acc = row_acc + nij * wj
-        total = total + vi * row_acc
-    return total
+    return _kronecker_apply(numer, [e.conjugate() if e.coeffs else e for e in w], v)
 
 
 class PresentedPairing:
@@ -278,8 +271,6 @@ class PresentedPairing:
     def element_equal(self, v: Sequence, w: Sequence) -> bool:
         """Do v and w present the same element of the module?"""
         v, w = _vectors(v, w, self.size)
-        if self.size == 0:
-            return True
         adj, det = self._adjugate
         x = adj.mul_vec([a - b for a, b in zip(v, w)])
         return all(divides(det, e) for e in x)

@@ -47,8 +47,7 @@ def random_laurent(rng: random.Random) -> LaurentPoly:
     """One or two coefficients in [-3, 3] from a valuation in [-2, 1]."""
     val = rng.randint(-2, 1)
     width = rng.randint(1, 2)
-    coeffs = [rng.randint(-3, 3) for _ in range(width)]
-    return LaurentPoly(val, coeffs)
+    return LaurentPoly._of(val, [rng.randint(-3, 3) for _ in range(width)])
 
 
 def random_vector(rng: random.Random, n: int) -> tuple[LaurentPoly, ...]:

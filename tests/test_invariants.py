@@ -29,6 +29,28 @@ def test_alexander_pins():
         "t^2 - t + 1 - t^-1 + t^-2")
 
 
+def test_alexander_and_signature_share_one_elimination(monkeypatch):
+    data = SeifertData(CINQUEFOIL.matrix)
+    calls = []
+    det, adjugate = Matrix.det, Matrix.adjugate
+
+    def counting_det(self):
+        calls.append("det")
+        return det(self)
+
+    def counting_adjugate(self):
+        calls.append("adjugate")
+        return adjugate(self)
+
+    monkeypatch.setattr(Matrix, "det", counting_det)
+    monkeypatch.setattr(Matrix, "adjugate", counting_adjugate)
+    delta = alexander_polynomial(data)
+    assert levine_tristram_signature(data, -1) == -4
+    assert alexander_polynomial(data) == delta
+    # tA - A^T is eliminated once, and every later read takes its cached det
+    assert calls == ["adjugate"]
+
+
 def test_alexander_is_symmetric_with_value_one():
     for seed in range(8):
         data = random_seifert(seed % 3 + 1, 3, seed)

@@ -4,14 +4,14 @@ import random
 import pytest
 
 from blanchfield.catalog import builtin, load_entry, random_seifert, render_entry
-from blanchfield.laurent import T
+from blanchfield.laurent import LaurentPoly, T
 from blanchfield.matrix import LAURENT, ZZ, Matrix
 from blanchfield.pairing import (SeifertData, as_laurent_vector, basis_vector,
                                  from_seifert, kearton_value, stabilize)
 from blanchfield.verify import (check_consistency, check_fibred_specialization,
                                 check_hermitian, check_kearton, check_mk,
                                 check_nonsingular, check_sesquilinear,
-                                check_well_defined, kearton_witness,
+                                check_well_defined, kearton_witness, random_laurent,
                                 seifert_entry, verify_entry, verify_random)
 
 TREFOIL = SeifertData(Matrix.from_int_rows(ZZ, [[-1, 1], [0, -1]]))
@@ -225,3 +225,15 @@ def test_dual_surface_verify_eliminates_once(monkeypatch):
     assert all(r.passed for r in verify_entry(load_entry(text), trials=3, seed=1))
     assert len(adjugates) == 1
     assert dets == []
+
+
+def test_random_laurent_draws_match_the_validating_constructor():
+    # the same rng draws as LaurentPoly(val, coeffs), which checks its input
+    for seed in range(20):
+        rng, old = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            val, width = old.randint(-2, 1), old.randint(1, 2)
+            expected = LaurentPoly(val, [old.randint(-3, 3) for _ in range(width)])
+            got = random_laurent(rng)
+            assert got == expected and repr(got) == repr(expected)
+        assert rng.random() == old.random()
