@@ -14,22 +14,25 @@ inverted-presentation formula is not well-defined, and sign(M_K(z))
 recovers the Levine-Tristram signature.
 """
 
-from .catalog import (CatalogEntry, EntryParseError, builtin, builtin_catalog,
-                      load_entry, random_seifert, render_entry)
-from .invariants import (IndeterminateSignatureError, alexander_polynomial,
-                         levine_tristram_signature, mk_signature,
-                         signature_profile)
-from .laurent import LaurentPoly
-from .matrix import LAURENT, QT, ZZ, Matrix, SingularMatrixError
-from .mkform import MKAssemblyError, MKForm, mk_matrix, mk_pairing_value, \
-    standard_symplectic, symplectic_normalize
-from .pairing import (DualSurfaceData, DualSurfaceEvaluator, FibredData,
-                      InvariantViolation, PresentedPairing, SeifertData,
-                      as_laurent_vector, basis_vector, from_dual_surface,
-                      from_fibred, from_seifert, kearton_value, stabilize)
-from .qmod import QModLambda, canonical_class
-from .ratfunc import RationalFunction
-from .verify import CheckResult, kearton_witness, verify_entry, verify_random
+import importlib
+
+# public name -> defining submodule, which __getattr__ imports on first use
+_SUBMODULE = {name: module for module, names in {
+    "catalog": "CatalogEntry EntryParseError builtin builtin_catalog load_entry random_seifert "
+               "render_entry",
+    "invariants": "IndeterminateSignatureError alexander_polynomial levine_tristram_signature "
+                  "mk_signature signature_profile",
+    "laurent": "LaurentPoly",
+    "matrix": "LAURENT QT ZZ Matrix SingularMatrixError",
+    "mkform": "MKAssemblyError MKForm mk_matrix mk_pairing_value standard_symplectic "
+              "symplectic_normalize",
+    "pairing": "DualSurfaceData DualSurfaceEvaluator FibredData InvariantViolation "
+               "PresentedPairing SeifertData as_laurent_vector basis_vector from_dual_surface "
+               "from_fibred from_seifert kearton_value stabilize",
+    "qmod": "QModLambda canonical_class",
+    "ratfunc": "RationalFunction",
+    "verify": "CheckResult kearton_witness verify_entry verify_random",
+}.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
@@ -47,3 +50,16 @@ __all__ = [
     "signature_profile", "stabilize", "standard_symplectic",
     "symplectic_normalize", "verify_entry", "verify_random",
 ]
+
+
+def __getattr__(name: str):
+    """Bind a public name on first use (PEP 562)."""
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(importlib.import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

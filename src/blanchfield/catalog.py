@@ -17,12 +17,11 @@ validated data object is kept on the entry.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 import re
 
-from .matrix import Matrix, ZZ
+from .matrix import Matrix, Record, ZZ
 from .pairing import DualSurfaceData, FibredData, SeifertData
 
 # kind -> (data class, its matrix keys in constructor order)
@@ -44,12 +43,12 @@ class EntryParseError(ValueError):
         super().__init__(f"line {line}, column {col}: {message}")
 
 
-@dataclasses.dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    kind: str
-    matrices: tuple[tuple[str, IntGrid], ...]
-    notes: str = ""
+class CatalogEntry(Record):
+    _fields = ("name", "kind", "matrices", "notes")
+
+    def __init__(self, name: str, kind: str, matrices: tuple[tuple[str, IntGrid], ...],
+                 notes: str = ""):
+        super().__init__(name, kind, matrices, notes)
 
     def matrix(self, key: str) -> Matrix:
         for k, grid in self.matrices:

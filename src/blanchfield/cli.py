@@ -1,26 +1,21 @@
 """Command-line interface.
 
 Exit codes: 0 success (including indeterminate signature points,
-reported as '?'), 1 property failure, 2 input error.
+reported as '?'), 1 property failure, 2 input error.  Each handler
+imports what only it runs, so a cold start loads no more than it needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import sys
 from pathlib import Path
 
 from .catalog import CatalogEntry, EntryParseError, builtin, builtin_catalog, load_entry
-from .invariants import (IndeterminateSignatureError, alexander_polynomial,
-                         levine_tristram_signature, mk_signature,
-                         signature_profile)
 from .laurent import LaurentPoly
-from .mkform import mk_matrix
 from .pairing import (InvariantViolation, SeifertData, basis_vector,
                       from_dual_surface, from_fibred, from_seifert)
-from .verify import verify_entry, verify_random
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -84,6 +79,7 @@ def _parse_circle_point(text: str) -> complex:
 def _emit(args, command: str, entry_ref: str, result: dict,
           diagnostics: dict | None = None, human: str = "") -> None:
     if args.json:
+        import json
         doc = {"command": command, "input": entry_ref, "result": result,
                "diagnostics": diagnostics or {}}
         print(json.dumps(doc, sort_keys=True))
@@ -99,6 +95,7 @@ def _seifert_data(entry: CatalogEntry) -> SeifertData:
 
 
 def cmd_alexander(args) -> int:
+    from .invariants import alexander_polynomial
     entry = _resolve_entry(args.entry)
     delta = alexander_polynomial(_seifert_data(entry))
     _emit(args, "alexander", args.entry, {"alexander": str(delta)},
@@ -128,6 +125,7 @@ def cmd_pairing(args) -> int:
 
 
 def cmd_mk(args) -> int:
+    from .mkform import mk_matrix
     entry = _resolve_entry(args.entry)
     form = mk_matrix(_seifert_data(entry))
     mk_rows = [[str(e) for e in row] for row in form.mk.entries]
@@ -143,6 +141,8 @@ def cmd_mk(args) -> int:
 
 
 def cmd_signature(args) -> int:
+    from .invariants import (IndeterminateSignatureError, levine_tristram_signature,
+                             mk_signature, signature_profile)
     entry = _resolve_entry(args.entry)
     data = _seifert_data(entry)
     diagnostics: dict = {}
@@ -162,6 +162,7 @@ def cmd_signature(args) -> int:
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         if args.check_mk:
+            from .mkform import mk_matrix
             try:
                 mk_sig = mk_signature(mk_matrix(data), z)
                 mk_str = str(mk_sig)
@@ -188,6 +189,7 @@ def cmd_signature(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import verify_entry, verify_random
     if args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
     if args.random is not None:
@@ -204,28 +206,15 @@ def cmd_verify(args) -> int:
         results = verify_entry(entry, trials=args.trials, seed=args.seed)
         ref = args.entry
     failed = [r for r in results if not r.passed]
-    if args.json:
-        doc = {
-            "command": "verify",
-            "input": ref,
-            "result": {
-                "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                           for r in results],
-                "passed": not failed,
-            },
-            "diagnostics": {
-                "counterexamples": [r.counterexample for r in failed
-                                    if r.counterexample],
-            },
-        }
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        for r in results:
-            print(r.line())
-        for r in failed:
-            if r.counterexample:
-                print("counterexample (replayable entry):")
-                print(r.counterexample, end="")
+    replays = [r.counterexample for r in failed if r.counterexample]
+    result = {"checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
+                         for r in results],
+              "passed": not failed}
+    human = [r.line() for r in results]
+    for text in replays:  # each ends in a newline, which print puts back
+        human += ["counterexample (replayable entry):", text.removesuffix("\n")]
+    _emit(args, "verify", ref, result, {"counterexamples": replays},
+          human="\n".join(human))
     return EXIT_PROPERTY_FAILURE if failed else EXIT_OK
 
 

@@ -42,11 +42,14 @@ import cmath
 import functools
 import math
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import _polyops
 from .laurent import LaurentPoly
-from .mkform import MKForm
 from .pairing import SeifertData
+
+if TYPE_CHECKING:  # in annotations only: alexander and signatures run without mkform
+    from .mkform import MKForm
 
 UNIT_CIRCLE_TOL = 1e-9
 SLOPE_WINDOW = Fraction(1, 2**40)  # relative input precision of a float z

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from typing import Sequence
 
 from . import _polyops
 
 
-@dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
 class LaurentPoly:
     """A Laurent polynomial over the integers.
 
@@ -80,6 +78,14 @@ class LaurentPoly:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.val == other.val and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.val, self.coeffs))
 
     def __add__(self, other: int | LaurentPoly) -> LaurentPoly:
         return self._combine(other, 1)

@@ -42,7 +42,6 @@ products.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 from typing import Callable, Sequence
@@ -55,14 +54,44 @@ class SingularMatrixError(ArithmeticError):
     """Raised when an adjugate meets a singular matrix."""
 
 
-@dataclasses.dataclass(frozen=True)
-class Ring:
+class Record:
+    """An immutable value with the fields named in _fields; records of one
+    class with equal fields are equal.  Setting or deleting an attribute
+    raises AttributeError; memos in the instance dict stay out of equality."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        vars(self).update(zip(self._fields, values))
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Ring(Record):
     """The little interface the matrix algorithms need from a ring."""
-    name: str
-    zero: object
-    one: object
-    from_int: Callable
-    exact_div: Callable
+
+    _fields = ("name", "zero", "one", "from_int", "exact_div")
+
+    def __init__(self, name: str, zero, one, from_int: Callable, exact_div: Callable):
+        super().__init__(name, zero, one, from_int, exact_div)
 
 
 def _int_exact_div(a: int, b: int) -> int:
@@ -79,24 +108,17 @@ QT = Ring("Q(t)", RationalFunction.zero(), RationalFunction.one(),
           RationalFunction, lambda a, b: a / b)
 
 
-@dataclasses.dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """An immutable dense matrix over one of the rings above."""
 
-    ring: Ring
-    entries: tuple[tuple, ...]
-    rows: int
-    cols: int
+    _fields = ("ring", "entries", "rows", "cols")
 
     def __init__(self, ring: Ring, rows: Sequence[Sequence], cols: int | None = None):
         grid = tuple(tuple(row) for row in rows)
         ncols = len(grid[0]) if grid else (0 if cols is None else cols)
         if any(len(r) != ncols for r in grid):
             raise ValueError("ragged rows in matrix")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", ncols)
+        super().__init__(ring, grid, len(grid), ncols)
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> Matrix:

@@ -195,7 +195,14 @@ class DualSurfaceData(_PresentedData):
 
 
 def as_laurent_vector(v: Sequence) -> tuple[LaurentPoly, ...]:
-    """Coerce a sequence of ints / Laurent polynomials to a Lambda-vector."""
+    """Coerce a sequence of ints / Laurent polynomials to a Lambda-vector;
+    a tuple of Laurent polynomials is one already, and comes back as is."""
+    if type(v) is tuple:
+        for e in v:
+            if not isinstance(e, LaurentPoly):
+                break
+        else:
+            return v
     out = []
     for e in v:
         if isinstance(e, LaurentPoly):
@@ -212,17 +219,18 @@ def basis_vector(n: int, i: int) -> tuple[LaurentPoly, ...]:
                  for j in range(n))
 
 
-def _vectors(v: Sequence, w: Sequence, n: int) -> tuple[tuple, tuple]:
-    """Coerce two coordinate vectors to Lambda-vectors of length n."""
-    v, w = as_laurent_vector(v), as_laurent_vector(w)
-    if len(v) != n or len(w) != n:
-        raise ValueError(f"vectors must have length {n}")
-    return v, w
+def _vectors(n: int, *vectors: Sequence) -> tuple[tuple, ...]:
+    """Coerce coordinate vectors to Lambda-vectors of length n."""
+    vectors = tuple(map(as_laurent_vector, vectors))
+    for v in vectors:
+        if len(v) != n:
+            raise ValueError(f"vectors must have length {n}")
+    return vectors
 
 
 def _sesquilinear(numer: Matrix, v: Sequence, w: Sequence) -> LaurentPoly:
     """v^T numer conj(w): one packed integer dot product."""
-    v, w = _vectors(v, w, numer.rows)
+    v, w = _vectors(numer.rows, v, w)
     return _kronecker_apply(numer, [e.conjugate() if e.coeffs else e for e in w], v)
 
 
@@ -270,13 +278,14 @@ class PresentedPairing:
 
     def element_equal(self, v: Sequence, w: Sequence) -> bool:
         """Do v and w present the same element of the module?"""
-        v, w = _vectors(v, w, self.size)
-        adj, det = self._adjugate
-        x = adj.mul_vec([a - b for a, b in zip(v, w)])
-        return all(divides(det, e) for e in x)
+        v, w = _vectors(self.size, v, w)
+        return self.is_zero_element(tuple([a - b for a, b in zip(v, w)]))
 
     def is_zero_element(self, v: Sequence) -> bool:
-        return self.element_equal(v, [0] * self.size)
+        """Does v present zero, that is, does det P divide every entry of adj(P) v?"""
+        (v,) = _vectors(self.size, v)
+        adj, det = self._adjugate
+        return all(divides(det, e) for e in adj.mul_vec(v))
 
     def __repr__(self) -> str:
         return f"<PresentedPairing {self.label} n={self.size}>"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from math import gcd
 
 from . import _polyops
@@ -26,7 +25,6 @@ def _coerce_poly(x) -> tuple[tuple[int, ...], int]:
     return _polyops.trim(_polyops.as_ints(x)), 0
 
 
-@dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
 class RationalFunction:
     """An element of Q(t) in canonical form.
 
@@ -89,6 +87,14 @@ class RationalFunction:
 
     def __bool__(self) -> bool:
         return bool(self.num)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.num == other.num and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     def __add__(self, other) -> RationalFunction:
         other = _as_ratfunc(other)

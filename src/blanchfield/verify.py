@@ -9,7 +9,6 @@ reports; the test suite asserts them.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import random
 from typing import Sequence
 
@@ -17,7 +16,7 @@ from .catalog import CatalogEntry, _entry, random_seifert, render_entry
 from .invariants import (IndeterminateSignatureError, levine_tristram_signature,
                          mk_signature)
 from .laurent import LaurentPoly, divides
-from .matrix import LAURENT, ZZ, Matrix
+from .matrix import LAURENT, ZZ, Matrix, Record
 from .mkform import mk_matrix
 from .pairing import (DualSurfaceData, DualSurfaceEvaluator, FibredData,
                       PresentedPairing, SeifertData, basis_vector,
@@ -28,12 +27,12 @@ from .pairing import (DualSurfaceData, DualSurfaceEvaluator, FibredData,
 MK_Z_SAMPLES = 8
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-    counterexample: str | None = None
+class CheckResult(Record):
+    _fields = ("name", "passed", "detail", "counterexample")
+
+    def __init__(self, name: str, passed: bool, detail: str = "",
+                 counterexample: str | None = None):
+        super().__init__(name, passed, detail, counterexample)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

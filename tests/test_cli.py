@@ -214,3 +214,19 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 def test_output_matches_golden(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert (code, out, err) == (0, GOLDEN[command], "")
+
+
+def test_verify_failure_prints_its_counterexample(capsys, monkeypatch):
+    import blanchfield.verify as verify
+    replay = "name: counterexample\nkind: seifert\nA: []\nw: t - 1\n"
+    results = [verify.CheckResult("hermitian", True, "3 trials"),
+               verify.CheckResult("sesquilinearity", False, "fails", replay)]
+    monkeypatch.setattr(verify, "verify_entry", lambda entry, trials, seed: results)
+    code, out, err = run(capsys, "verify", "unknot")
+    assert (code, err) == (1, "")
+    assert out == ("hermitian: PASS (3 trials)\nsesquilinearity: FAIL (fails)\n"
+                   "counterexample (replayable entry):\n" + replay)
+    code, out, _ = run(capsys, "verify", "--json", "unknot")
+    assert code == 1
+    assert json.loads(out)["diagnostics"] == {"counterexamples": [replay]}
+    assert json.loads(out)["result"]["passed"] is False

@@ -1,12 +1,11 @@
-import dataclasses
 import random
 
 import pytest
 
 from blanchfield.catalog import builtin, random_seifert
 from blanchfield.laurent import LaurentPoly, T
-from blanchfield.matrix import (LAURENT, QT, ZZ, Matrix, SingularMatrixError, _pack,
-                                _unpack)
+from blanchfield.matrix import (LAURENT, QT, ZZ, Matrix, Ring, SingularMatrixError,
+                                _pack, _unpack)
 from blanchfield.ratfunc import RationalFunction as RF
 
 
@@ -169,7 +168,8 @@ def test_inverse_over_the_rings():
 
 # A copy of LAURENT is not LAURENT, so matrices over it take the generic
 # Bareiss over Laurent polynomials: the reference for the integer path.
-REFERENCE = dataclasses.replace(LAURENT, name="Z[t,t^-1], Laurent Bareiss")
+REFERENCE = Ring("Z[t,t^-1], Laurent Bareiss", LAURENT.zero, LAURENT.one,
+                 LAURENT.from_int, LAURENT.exact_div)
 
 
 def _eliminations(m):
@@ -308,3 +308,40 @@ def test_pack_unpack_round_trip_at_the_digit_limit():
         assert _unpack(_pack(p, 0, bits), bits, 0) != p
     assert _pack(LaurentPoly.zero(), -2, 8) == 0
     assert _unpack(0, 8, 5) == LaurentPoly.zero()
+
+
+# --- value semantics of the records -----------------------------------------
+
+def test_records_are_immutable_values():
+    from blanchfield.catalog import CatalogEntry
+    from blanchfield.verify import CheckResult
+    m = Matrix.from_int_rows(ZZ, [[1, 2], [3, 4]])
+    same = Matrix(ZZ, ((1, 2), (3, 4)))
+    entry = builtin("trefoil")
+    for a, b, other in ((m, same, m.transpose()),
+                        (ZZ, Ring("Z", 0, 1, int, ZZ.exact_div), LAURENT),
+                        (entry, builtin("trefoil"), builtin("figure-eight")),
+                        (CheckResult("hermitian", True), CheckResult("hermitian", True, ""),
+                         CheckResult("hermitian", False))):
+        assert a == b and hash(a) == hash(b) and a != other and a != tuple(vars(a).values())
+        for name in a._fields:
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+    assert repr(CheckResult("x", True)) == \
+        "CheckResult(name='x', passed=True, detail='', counterexample=None)"
+    # a copy of a ring is equal to it but takes no identity-keyed fast path
+    assert REFERENCE == Ring("Z[t,t^-1], Laurent Bareiss", *(getattr(LAURENT, f)
+                                                               for f in LAURENT._fields[1:]))
+    assert REFERENCE != LAURENT and REFERENCE is not LAURENT
+    # memos live in the instance dict and leave equality alone
+    m2 = laurent_matrix([[T, 1], [0, 1]])
+    m2.mul_vec([LaurentPoly.one(), LaurentPoly.one()])
+    assert "_packed" in vars(m2) and m2 == laurent_matrix([[T, 1], [0, 1]])
+    assert entry.data() is entry.data() and entry == CatalogEntry(*entry._key())
+    # the Laurent and rational values compare by value, and not with ints
+    assert LaurentPoly(0, (2, 1)) == LaurentPoly(0, [2, 1]) != 2
+    assert hash(LaurentPoly.const(3)) == hash(LaurentPoly(0, (3,)))
+    assert RF(T * T - 1, T - 1) == RF(T + 1) and hash(RF(2, 4)) == hash(RF(1, 2))
+    assert RF(1) != 1 and LaurentPoly.one().__eq__(1) is NotImplemented
