@@ -1,6 +1,7 @@
 """Exact Blanchfield pairings of knots and fibred 3-manifolds.
 
-The package computes, in exact arithmetic over Z[t,t^-1] and Q(t):
+The package computes, in exact arithmetic over Z[t,t^-1] and Z (Q(t)
+appears only as the reduced pairs num/den in which values are output):
 
   * the Blanchfield pairing presented by a Seifert matrix, by fibred
     monodromy data, or by general dual-surface inclusion data;
@@ -23,7 +24,7 @@ _SUBMODULE = {name: module for module, names in {
     "invariants": "IndeterminateSignatureError alexander_polynomial levine_tristram_signature "
                   "mk_signature signature_profile",
     "laurent": "LaurentPoly",
-    "matrix": "LAURENT QT ZZ Matrix SingularMatrixError",
+    "matrix": "LAURENT ZZ Matrix SingularMatrixError",
     "mkform": "MKAssemblyError MKForm mk_matrix mk_pairing_value standard_symplectic "
               "symplectic_normalize",
     "pairing": "DualSurfaceData DualSurfaceEvaluator FibredData InvariantViolation "
@@ -40,7 +41,7 @@ __all__ = [
     "CatalogEntry", "CheckResult", "DualSurfaceData", "DualSurfaceEvaluator",
     "EntryParseError", "FibredData", "IndeterminateSignatureError",
     "InvariantViolation", "LAURENT", "LaurentPoly", "MKAssemblyError",
-    "MKForm", "Matrix", "PresentedPairing", "QModLambda", "QT",
+    "MKForm", "Matrix", "PresentedPairing", "QModLambda",
     "RationalFunction", "SeifertData", "SingularMatrixError", "ZZ",
     "alexander_polynomial", "as_laurent_vector", "basis_vector", "builtin",
     "builtin_catalog", "canonical_class", "from_dual_surface", "from_fibred",

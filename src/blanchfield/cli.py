@@ -34,7 +34,11 @@ def _resolve_entry(ref: str) -> CatalogEntry:
     path = Path(ref)
     if path.exists():
         try:
-            return load_entry(path.read_bytes())
+            text = path.read_bytes()
+        except OSError as exc:
+            raise InputError(f"cannot read entry file {ref!r}: {exc.strerror}") from exc
+        try:
+            return load_entry(text)
         except (EntryParseError, InvariantViolation, ValueError) as exc:
             raise InputError(str(exc)) from exc
     names = ", ".join(e.name for e in builtin_catalog())

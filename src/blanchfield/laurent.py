@@ -126,20 +126,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            if not self.is_unit():
-                raise ValueError("only units +-t^k can be inverted in Z[t,t^-1]")
-            return LaurentPoly._of(-self.val, self.coeffs) ** (-n)
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def conjugate(self) -> LaurentPoly:
         """Apply the ring involution t -> t^-1."""
         if not self.coeffs:
@@ -165,16 +151,6 @@ class LaurentPoly:
         if self.is_zero() or other.is_zero():
             return self.is_zero() and other.is_zero()
         return self.coeffs == other.coeffs or self.coeffs == _polyops.neg(other.coeffs)
-
-    def evaluate(self, z: complex) -> complex:
-        """Numerical evaluation at a nonzero complex number."""
-        if z == 0 and self.val < 0:
-            raise ZeroDivisionError("cannot evaluate negative powers of t at 0")
-        total = 0j
-        for i, c in enumerate(self.coeffs):
-            if c:
-                total += c * z ** (self.val + i)
-        return total
 
     _TERM = re.compile(
         r"\s*(?P<sign>[+-])?\s*"

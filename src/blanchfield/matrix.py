@@ -1,9 +1,10 @@
-"""Exact dense linear algebra over Z, Z[t,t^-1] and Q(t).
+"""Exact dense linear algebra over Z and Z[t,t^-1].
 
 Determinants and adjugates use fraction-free (Bareiss) elimination, so
 no fractions arise over Z or Z[t,t^-1]; callers keep adj/det rather
-than an inverse.  Matrices are immutable and 0x0 matrices are legal
-(the Seifert matrix of the unknot).
+than an inverse.  Q(t) appears only at output, as the reduced pairs of
+``ratfunc``; no algorithm here runs over it.  Matrices are immutable and
+0x0 matrices are legal (the Seifert matrix of the unknot).
 
 Over Z[t,t^-1] the elimination runs on integers (Kronecker
 substitution): each row is shifted by a power of t to a polynomial row,
@@ -47,7 +48,6 @@ import operator
 from typing import Callable, Sequence
 
 from .laurent import LaurentPoly
-from .ratfunc import RationalFunction
 
 
 class SingularMatrixError(ArithmeticError):
@@ -104,12 +104,11 @@ def _int_exact_div(a: int, b: int) -> int:
 ZZ = Ring("Z", 0, 1, int, _int_exact_div)
 LAURENT = Ring("Z[t,t^-1]", LaurentPoly.zero(), LaurentPoly.one(),
                LaurentPoly.const, lambda a, b: a.exact_div(b))
-QT = Ring("Q(t)", RationalFunction.zero(), RationalFunction.one(),
-          RationalFunction, lambda a, b: a / b)
 
 
 class Matrix(Record):
-    """An immutable dense matrix over one of the rings above."""
+    """An immutable dense matrix over one of the rings above; ring None
+    marks a matrix that only holds values for output."""
 
     _fields = ("ring", "entries", "rows", "cols")
 
@@ -154,7 +153,7 @@ class Matrix(Record):
                       cols=self.rows)
 
     def conjugate(self) -> Matrix:
-        """Entrywise involution t -> t^-1 (Laurent or Q(t) entries)."""
+        """Entrywise involution t -> t^-1 of Laurent entries."""
         return self.map_entries(lambda e: e.conjugate())
 
     def conjugate_transpose(self) -> Matrix:

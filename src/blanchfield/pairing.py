@@ -33,7 +33,7 @@ import functools
 from typing import Sequence
 
 from .laurent import LaurentPoly, T, divides
-from .matrix import LAURENT, QT, ZZ, Matrix, SingularMatrixError, _kronecker_apply
+from .matrix import LAURENT, ZZ, Matrix, SingularMatrixError, _kronecker_apply
 from .qmod import QModLambda
 from .ratfunc import RationalFunction
 
@@ -235,12 +235,11 @@ def _sesquilinear(numer: Matrix, v: Sequence, w: Sequence) -> LaurentPoly:
 
 
 class PresentedPairing:
-    """A nonsingular square presentation over Z[t,t^-1] plus its pairing matrix.
+    """A nonsingular square presentation over Z[t,t^-1] plus its pairing form.
 
-    The pairing of coordinate vectors v, w is the Q/Lambda class of
-    v^T * pairing_matrix * conj(w).  The pairing matrix is kept as a
-    Laurent numerator matrix over a common Laurent denominator, which
-    keeps evaluation cheap and exact.  adjugate is (adj, det) of the
+    The form is a Laurent numerator matrix N over one Laurent
+    denominator d, and the pairing of coordinate vectors v, w is the
+    Q/Lambda class of v^T N conj(w) / d.  adjugate is (adj, det) of the
     presentation; membership tests read it.
     """
 
@@ -267,10 +266,16 @@ class PresentedPairing:
         return self.presentation.rows
 
     @property
+    def form(self) -> tuple[Matrix, LaurentPoly]:
+        """(N, d): the pairing matrix is N / d, with N over Z[t,t^-1]."""
+        return self._numer, self._denom
+
+    @property
     def pairing_matrix(self) -> Matrix:
-        """The pairing matrix over Q(t)."""
-        d = RationalFunction(self._denom)
-        return self._numer.map_entries(lambda e: RationalFunction(e) / d, QT)
+        """The entries N_ij / d of form as reduced pairs, over no ring; kept
+        only for the benchmark oracle, which will read form instead."""
+        return Matrix(None, [[RationalFunction(e, self._denom) for e in row]
+                             for row in self._numer.entries], cols=self.size)
 
     def value(self, v: Sequence, w: Sequence) -> QModLambda:
         """The pairing of two coordinate vectors, as its class in Q/Lambda."""

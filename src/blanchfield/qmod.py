@@ -168,10 +168,7 @@ class QModLambda:
         return self + (-other)
 
     def __mul__(self, p) -> QModLambda:
-        """Scale by a ring element (Laurent polynomial, int or Q(t) element)."""
-        if isinstance(p, RationalFunction):
-            return QModLambda._pair(self._num * LaurentPoly._of(0, p.num),
-                                    self._den * LaurentPoly._of(0, p.den))
+        """Scale by a ring element (Laurent polynomial or int)."""
         if isinstance(p, (int, LaurentPoly)):
             return QModLambda._pair(self._num * p, self._den)
         return NotImplemented

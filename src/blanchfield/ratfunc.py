@@ -1,4 +1,8 @@
-"""The fraction field Q(t), stored as reduced pairs of integer polynomials."""
+"""Values in Q(t) written down as reduced pairs of integer polynomials.
+
+No algorithm runs over Q(t), so a RationalFunction has no arithmetic: it
+is the reduced form that canonicalization (``qmod``) and output read.
+"""
 
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ def _coerce_poly(x) -> tuple[tuple[int, ...], int]:
 
 
 class RationalFunction:
-    """An element of Q(t) in canonical form.
+    """An element of Q(t) as a reduced pair num/den.
 
     The numerator and denominator are integer polynomials (dense
     coefficient tuples) with gcd 1 over the rationals, coprime integer
@@ -74,14 +78,6 @@ class RationalFunction:
         self.num = n
         self.den = d
 
-    @classmethod
-    def zero(cls) -> RationalFunction:
-        return cls(0)
-
-    @classmethod
-    def one(cls) -> RationalFunction:
-        return cls(1)
-
     def is_zero(self) -> bool:
         return not self.num
 
@@ -96,65 +92,6 @@ class RationalFunction:
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
-    def __add__(self, other) -> RationalFunction:
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = _polyops.add(_polyops.mul(self.num, other.den),
-                         _polyops.mul(other.num, self.den))
-        return RationalFunction(n, _polyops.mul(self.den, other.den))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> RationalFunction:
-        out = object.__new__(RationalFunction)
-        out.num = _polyops.neg(self.num)
-        out.den = self.den
-        return out
-
-    def __sub__(self, other) -> RationalFunction:
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> RationalFunction:
-        return (-self) + other
-
-    def __mul__(self, other) -> RationalFunction:
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(_polyops.mul(self.num, other.num),
-                                _polyops.mul(self.den, other.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> RationalFunction:
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(_polyops.mul(self.num, other.den),
-                                _polyops.mul(self.den, other.num))
-
-    def __rtruediv__(self, other) -> RationalFunction:
-        return _as_ratfunc(other) / self
-
-    def conjugate(self) -> RationalFunction:
-        """Apply the involution t -> t^-1 of Q(t)."""
-        if self.is_zero():
-            return self
-        dn, dd = len(self.num) - 1, len(self.den) - 1
-        n = tuple(reversed(self.num))
-        d = tuple(reversed(self.den))
-        if dd > dn:
-            n = _polyops.shift(n, dd - dn)
-        elif dn > dd:
-            d = _polyops.shift(d, dn - dd)
-        return RationalFunction(n, d)
-
     def is_laurent(self) -> bool:
         """Membership test for the subring Z[t, t^-1].
 
@@ -162,11 +99,6 @@ class RationalFunction:
         denominator is a power of t with coefficient one.
         """
         return self.den[-1] == 1 and not any(self.den[:-1])
-
-    def to_laurent(self) -> LaurentPoly:
-        if not self.is_laurent():
-            raise ArithmeticError(f"{self} is not a Laurent polynomial")
-        return LaurentPoly(-(len(self.den) - 1), self.num)
 
     def __str__(self) -> str:
         num = LaurentPoly(0, self.num)
@@ -177,10 +109,3 @@ class RationalFunction:
     def __repr__(self) -> str:
         return f"RationalFunction('{self}')"
 
-
-def _as_ratfunc(x):
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, (int, LaurentPoly)):
-        return RationalFunction(x)
-    return NotImplemented

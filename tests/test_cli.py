@@ -179,6 +179,14 @@ def test_overlong_integer_entry_file_exit_2(tmp_path, capsys):
     assert f"line 3, column 6: integer of {digits} digits is too long" in err
 
 
+@pytest.mark.parametrize("command", ["alexander", "pairing", "mk", "signature", "verify"])
+def test_directory_entry_exit_2(tmp_path, capsys, command):
+    code, out, err = run(capsys, command, str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read entry file {str(tmp_path)!r}: Is a directory\n"
+
+
 def test_unknown_entry_exit_2(capsys):
     code, _, err = run(capsys, "alexander", "granny")
     assert code == 2

@@ -147,6 +147,23 @@ def test_every_public_name_resolves_to_its_definition():
         assert getattr(blanchfield, name) is getattr(module, name)
 
 
+def test_public_surface_is_pinned():
+    # a name leaves (or joins) the public surface only on purpose
+    assert sorted(blanchfield.__all__) == [
+        "CatalogEntry", "CheckResult", "DualSurfaceData", "DualSurfaceEvaluator",
+        "EntryParseError", "FibredData", "IndeterminateSignatureError",
+        "InvariantViolation", "LAURENT", "LaurentPoly", "MKAssemblyError", "MKForm",
+        "Matrix", "PresentedPairing", "QModLambda", "RationalFunction", "SeifertData",
+        "SingularMatrixError", "ZZ", "alexander_polynomial", "as_laurent_vector",
+        "basis_vector", "builtin", "builtin_catalog", "canonical_class",
+        "from_dual_surface", "from_fibred", "from_seifert", "kearton_value",
+        "kearton_witness", "levine_tristram_signature", "load_entry", "mk_matrix",
+        "mk_pairing_value", "mk_signature", "random_seifert", "render_entry",
+        "signature_profile", "stabilize", "standard_symplectic", "symplectic_normalize",
+        "verify_entry", "verify_random",
+    ]
+
+
 def test_dir_lists_the_public_names():
     assert set(blanchfield.__all__) <= set(dir(blanchfield))
 

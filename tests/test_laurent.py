@@ -37,22 +37,6 @@ def test_conjugate_examples():
     assert (T * T - T + 1).conjugate() == LaurentPoly.parse("t^-2 - t^-1 + 1")
 
 
-def test_pow_of_unit():
-    assert T ** -3 == LaurentPoly(-3, (1,))
-    with pytest.raises(ValueError):
-        (T + 1) ** -1
-
-
-def test_evaluate():
-    assert (T).evaluate(1j) == 1j
-    assert abs((T + T ** -1).evaluate(-1) - (-2)) < 1e-12
-    import cmath
-    z = cmath.exp(1j * cmath.pi / 3)
-    assert abs((T * T - T + 1).evaluate(z)) < 1e-12
-    with pytest.raises(ZeroDivisionError):
-        (T ** -1).evaluate(0)
-
-
 def test_exact_div():
     p = (T - 1) * (T + 1) * LaurentPoly(-2, (3,))
     assert p.exact_div(T - 1) == (T + 1) * LaurentPoly(-2, (3,))
@@ -118,14 +102,6 @@ def test_conjugate_is_ring_involution(a, b):
 @given(laurents)
 def test_str_parse_round_trip(a):
     assert LaurentPoly.parse(str(a)) == a
-
-
-@given(laurents, laurents)
-def test_evaluate_is_homomorphism(a, b):
-    z = complex(0.6, 0.8)
-    lhs = (a * b).evaluate(z)
-    rhs = a.evaluate(z) * b.evaluate(z)
-    assert abs(lhs - rhs) < 1e-9
 
 
 @given(laurents, laurents, st.integers(min_value=-5, max_value=5))

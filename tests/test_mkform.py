@@ -4,11 +4,10 @@ import pytest
 
 from blanchfield.catalog import builtin, random_seifert
 from blanchfield.laurent import LaurentPoly, T
-from blanchfield.matrix import LAURENT, QT, ZZ, Matrix
+from blanchfield.matrix import LAURENT, ZZ, Matrix
 from blanchfield.mkform import (mk_matrix, mk_pairing_value, standard_symplectic,
                                 symplectic_normalize)
 from blanchfield.pairing import SeifertData, basis_vector, from_seifert
-from blanchfield.ratfunc import RationalFunction as RF
 from blanchfield.verify import random_vector
 
 TREFOIL = SeifertData(Matrix.from_int_rows(ZZ, [[-1, 1], [0, -1]]))
@@ -129,23 +128,23 @@ def test_mk_random_entries_hermitian_det():
 
 
 def _mk_reference(data):
-    # the paper's two-term diagonal-scaled sum over Q(t), with every
-    # entry required to come back Laurent
+    # the paper's two-term diagonal-scaled sum
+    #   diag(t/(t-1), 1) A diag(1, 1-t) + diag(1, 1-t^-1) A^T diag(-1/(t-1), 1),
+    # scaled by t - 1 so that it lies over Z[t,t^-1]; exact_div then
+    # requires every entry of the sum itself to be Laurent
     congruence = symplectic_normalize(data.matrix - data.matrix.transpose())
-    a = (congruence * data.matrix * congruence.transpose()).to_ring(QT)
+    a = (congruence * data.matrix * congruence.transpose()).to_ring(LAURENT)
     k = data.size // 2
 
     def diag(top, bottom):
-        return Matrix(QT, [[(top if i < k else bottom) if i == j else RF.zero()
-                            for j in range(2 * k)] for i in range(2 * k)],
+        return Matrix(LAURENT, [[(top if i < k else bottom) if i == j else LaurentPoly.zero()
+                                 for j in range(2 * k)] for i in range(2 * k)],
                       cols=2 * k)
 
-    one = RF.one()
-    assembled = (diag(RF(T, T - 1), one) * a * diag(one, RF(1 - T))
-                 + diag(one, RF(1 - T.conjugate())) * a.transpose()
-                 * diag(RF(LaurentPoly.const(-1), T - 1), one))
-    assert all(e.is_laurent() for row in assembled.entries for e in row)
-    return assembled.map_entries(lambda e: e.to_laurent(), LAURENT)
+    one = LaurentPoly.one()
+    scaled = (diag(T, T - 1) * a * diag(one, 1 - T)
+              + diag(one, 1 - T.conjugate()) * a.transpose() * diag(-one, T - 1))
+    return scaled.map_entries(lambda e: e.exact_div(T - 1))
 
 
 def test_mk_block_formulas_match_qt_sum():

@@ -4,7 +4,7 @@ import pytest
 
 from blanchfield.catalog import random_seifert
 from blanchfield.laurent import LaurentPoly, T
-from blanchfield.matrix import LAURENT, QT, ZZ, Matrix
+from blanchfield.matrix import LAURENT, ZZ, Matrix
 from blanchfield.mkform import mk_matrix
 from blanchfield.pairing import (DualSurfaceData, FibredData, InvariantViolation,
                                  SeifertData, as_laurent_vector, basis_vector,
@@ -45,10 +45,21 @@ def test_from_seifert_trefoil_matrices():
     b = from_seifert(TREFOIL)
     assert b.presentation == Matrix(LAURENT, [[1 - T, T],
                                               [LaurentPoly.const(-1), 1 - T]])
-    pre = RF(T - 1, DELTA)
-    expected = Matrix(QT, [[pre * RF(T - 1), pre * RF(-1)],
-                           [pre * RF(T), pre * RF(T - 1)]])
-    assert b.pairing_matrix == expected
+    # (t-1)(A - tA^T)^{-1} = (1-t) adj(P)^T / det P
+    numer, denom = b.form
+    assert numer == Matrix(LAURENT, [[(T - 1) * (T - 1), 1 - T],
+                                     [T * (T - 1), (T - 1) * (T - 1)]])
+    assert denom == DELTA
+
+
+@pytest.mark.parametrize("data", [TREFOIL, random_seifert(3, 3, 9)], ids=["trefoil", "g3"])
+def test_pairing_matrix_reads_form(data):
+    b = from_seifert(data)
+    (numer, denom), pm = b.form, b.pairing_matrix
+    assert (pm.rows, pm.cols) == (numer.rows, numer.cols) == (data.size, data.size)
+    for i in range(data.size):
+        for j in range(data.size):
+            assert pm[i, j] == RF(numer[i, j], denom)
 
 
 def test_from_seifert_unknot_trivial():
@@ -199,14 +210,13 @@ def test_random_seifert_pairings_nonsingular():
 
 
 def test_pairing_matrix_inverts_seifert_base():
-    # (t-1)(A - tA^T)^{-1} times (A - tA^T) is (t-1) id over Q(t)
+    # (t-1)(A - tA^T)^{-1} = N/d, so N (A - tA^T) = (t-1) d id exactly
     for genus, seed in [(1, 0), (1, 1), (2, 2), (2, 3), (3, 4)]:
         data = random_seifert(genus, 3, seed)
-        a = data.matrix.to_ring(QT)
-        base = a - a.transpose().map_entries(lambda e: e * RF(T))
-        n = data.size
-        assert from_seifert(data).pairing_matrix * base == \
-            Matrix.identity(QT, n).map_entries(lambda e: e * RF(T - 1))
+        a = data.matrix.to_ring(LAURENT)
+        numer, denom = from_seifert(data).form
+        assert numer * (a - T * a.transpose()) == \
+            Matrix.identity(LAURENT, data.size) * ((T - 1) * denom)
 
 
 def test_element_equal_needs_integral_quotient():

@@ -48,8 +48,13 @@ def lt_reference(data, z):
                                 for j in range(n)] for i in range(n)])
 
 
+def evaluate(p, z):
+    """A Laurent polynomial at a nonzero complex number, in floating point."""
+    return sum(c * z ** (p.val + i) for i, c in enumerate(p.coeffs))
+
+
 def mk_reference(form, z):
-    return eigvalsh_signature([[e.evaluate(z) for e in row] for row in form.mk.entries])
+    return eigvalsh_signature([[evaluate(e, z) for e in row] for row in form.mk.entries])
 
 
 def sympy_inertia(rows):
