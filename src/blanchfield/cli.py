@@ -69,8 +69,9 @@ def _parse_circle_point(text: str) -> complex:
         split = max(m.rfind("+", 1), m.rfind("-", 1))
         if split <= 0:
             raise InputError(f"bad complex number {text!r}, use re+imi or theta:<radians>")
+        im = m[split:]  # a bare sign before i means +-1
         try:
-            re, im = float(m[:split]), float(m[split:] or "1")
+            re, im = float(m[:split]), float(im if len(im) > 1 else im + "1")
         except ValueError as exc:
             raise InputError(f"bad complex number {text!r}") from exc
         return complex(re, im)

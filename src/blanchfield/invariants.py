@@ -4,28 +4,32 @@ The Alexander polynomial is det(tA - A^T), read off the data object's
 cached elimination (tA - A^T is nonsingular, as det(A - A^T) = 1), and
 normalized by a unit so that Delta(t) = Delta(1/t) and Delta(1) = 1.
 
-Signatures are exact.  A point z = e^(i theta) != 1 of the unit circle
-is named by its slope s = tan(theta/2); z and conj(z) carry complex
-conjugate forms, so only |s| in (0, inf] matters, with s = inf at z = -1.
-For s = p/q (q = 0 at z = -1),
+Signatures are exact, and one evaluator serves both hermitian Laurent
+matrices: the Levine-Tristram form (1 - t)A + (1 - t^-1)A^T, entrywise
+-a_ji t^-1 + (a_ij + a_ji) - a_ij t, and M_K.  A point z = e^(i theta)
+!= 1 of the unit circle is named by its slope s = tan(theta/2); z and
+conj(z) carry complex conjugate forms, so only |s| in (0, inf] matters,
+with s = inf at z = -1.  For s = p/q (q = 0 at z = -1),
 
-    z = (q^2 - p^2 + 2ipq) / (p^2 + q^2),
-    (1 - z)A + (1 - conj z)A^T = 2p/(p^2 + q^2) * H,
-    H = p(A + A^T) + iq(A^T - A),
+    z = u/c,  u = q^2 - p^2 + 2ipq,  c = p^2 + q^2 > 0,
 
-so the signature is that of the Gaussian-integer hermitian matrix H.
+so c^D M(z), with D the largest |exponent| in M, is a Gaussian-integer
+hermitian matrix with the signature of M(z).  For the Levine-Tristram
+form it is 2p H, H = p(A + A^T) + iq(A^T - A).
+
 The form is singular exactly where Delta(z) = 0.  Write det(tA - A^T) =
 t^val P(t), P palindromic of degree d; then
 E(s) = P((1 + is)/(1 - is)) (1 - is)^d is a real, even integer polynomial
 F(s^2) of degree at most d, whose positive roots are the slopes of the
-Alexander roots on the circle.  Sturm sequences (Sturm 1829) of the square-free part of F
-isolate those roots in disjoint rational intervals, once per SeifertData
-(and once per MKForm, from det M_K, a unit multiple of Delta: the same
-arcs).  The signature is constant on each arc between two roots, so it
-is computed once per arc, at the interval end next to it or at z = -1,
-by Sylvester's law of inertia: fraction-free symmetric elimination of
-the real 2n x 2n embedding of H.  sign(M_K(z)) is found the same way
-from c^D M_K(u/c), u = q^2 - p^2 + 2ipq, c = p^2 + q^2 > 0.
+Alexander roots on the circle.  Sturm sequences (Sturm 1829) of the
+square-free part of F isolate those roots in disjoint rational
+intervals, once per SeifertData (and once per MKForm, from det M_K, a
+unit multiple of Delta: the same arcs).  The signature is constant on
+each arc between two roots, so it is computed once per arc, at the
+interval end next to it or at z = -1, by Sylvester's law of inertia:
+fraction-free symmetric elimination of the real 2n x 2n embedding of
+c^D M(z).  signature_arcs lists both step functions arc by arc, which is
+how verify compares sign(M_K) with Levine-Tristram on the whole circle.
 
 A float z is read exactly: s = Im z / (1 + Re z), or (1 - Re z) / Im z
 for Re z < 0 (the same number on the circle, without the cancellation
@@ -39,7 +43,6 @@ touches.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -161,16 +164,10 @@ def _embed(re, im) -> list[list[int]]:
             + [i + r for r, i in zip(re, im)])
 
 
-def _seifert_form(a, p: int, q: int) -> list[list[int]]:
-    """Embedded H = p(A + A^T) + iq(A^T - A) for the integer rows a of A."""
-    n = len(a)
-    return _embed([[p * (a[i][j] + a[j][i]) for j in range(n)] for i in range(n)],
-                  [[q * (a[j][i] - a[i][j]) for j in range(n)] for i in range(n)])
-
-
-def _mk_form(entries, p: int, q: int) -> list[list[int]]:
-    """Embedded c^D M_K(u/c), u = q^2 - p^2 + 2ipq, c = p^2 + q^2, with D
-    the largest |exponent| in M_K; t^-k is conj(u)^k / c^k on the circle."""
+def _form_at(entries, p: int, q: int) -> list[list[int]]:
+    """Embedded c^D M(u/c), u = q^2 - p^2 + 2ipq, c = p^2 + q^2, for the
+    hermitian Laurent matrix M with rows entries and D the largest
+    |exponent| in M; t^-k is conj(u)^k / c^k on the circle."""
     c = p * p + q * q
     top = max((max(-e.val, e.degree()) for row in entries for e in row if e), default=0)
     powers = [(1, 0)]
@@ -193,15 +190,14 @@ class _SignatureSteps:
     """A signature as a step function of the slope s in (0, inf].
 
     jumps is a Laurent polynomial vanishing on the circle exactly where
-    the form is singular; form_at(p, q) is the embedded integer matrix
-    whose inertia is twice the signature at slope p/q (q = 0 at z = -1).
+    the hermitian Laurent matrix with rows entries is singular.
     """
 
-    def __init__(self, jumps: LaurentPoly, form_at):
+    def __init__(self, jumps: LaurentPoly, entries):
         f = _circle_polynomial(jumps.coeffs)
         common = _polyops.gcd_poly(f, _polyops.derivative(f))
         self._f = f = _polyops.div_exact(f, common) if len(common) > 1 else f
-        self._form_at = form_at
+        self._entries = entries
         self._values: dict[int, int] = {}
         chain = _polyops.sturm_chain(f)
 
@@ -269,43 +265,55 @@ class _SignatureSteps:
 
     def at(self, s: Fraction | None) -> int:
         """The signature at slope s (None for z = -1)."""
-        arc = self._arc(s)
+        return self._value(self._arc(s))
+
+    def arcs(self) -> list[int]:
+        """The signature on each arc, from z = 1 to z = -1."""
+        return [self._value(arc) for arc in range(len(self._samples))]
+
+    def _value(self, arc: int) -> int:
         if arc not in self._values:
             sample = self._samples[arc]
             p, q = (1, 0) if sample is None else (sample.numerator, sample.denominator)
-            pos, neg, zero = _inertia(self._form_at(p, q))
+            pos, neg, zero = _inertia(_form_at(self._entries, p, q))
             if zero:
                 raise AssertionError("form singular away from the Alexander roots")
             self._values[arc] = (pos - neg) // 2
         return self._values[arc]
 
 
-def _steps(owner: SeifertData | MKForm, build) -> _SignatureSteps:
-    """The step function kept on owner, built on first use."""
+def _steps(owner: SeifertData | MKForm) -> _SignatureSteps:
+    """The step function of the Levine-Tristram form of a SeifertData,
+    (1 - t)A + (1 - t^-1)A^T, or of an MKForm's M_K; kept on owner,
+    built on first use."""
     steps = vars(owner).get("_signature_steps")
     if steps is None:
-        steps = owner._signature_steps = build()
+        if isinstance(owner, SeifertData):
+            a = owner.matrix.entries
+            jumps = owner.adjugate[1]
+            entries = [[LaurentPoly._of(-1, (-a[j][i], a[i][j] + a[j][i], -a[i][j]))
+                        for j in range(len(a))] for i in range(len(a))]
+        else:
+            jumps, entries = owner.determinant(), owner.mk.entries
+        steps = owner._signature_steps = _SignatureSteps(jumps, entries)
     return steps
 
 
 def levine_tristram_signature(data: SeifertData, z: complex) -> int:
     """Signature of (1-z)A + (1-conj(z))A^T at a unit-circle point z != 1."""
-    s = _slope(_check_circle_point(z))
-    if data.size == 0:
-        return 0
-    steps = _steps(data, lambda: _SignatureSteps(
-        data.adjugate[1], functools.partial(_seifert_form, data.matrix.entries)))
-    return steps.at(s)
+    return _steps(data).at(_slope(_check_circle_point(z)))
 
 
 def mk_signature(form: MKForm, z: complex) -> int:
     """Signature of the hermitian matrix M_K(z)."""
-    s = _slope(_check_circle_point(z))
-    if form.size == 0:
-        return 0
-    steps = _steps(form, lambda: _SignatureSteps(
-        form.determinant(), functools.partial(_mk_form, form.mk.entries)))
-    return steps.at(s)
+    return _steps(form).at(_slope(_check_circle_point(z)))
+
+
+def signature_arcs(data: SeifertData, form: MKForm) -> tuple[list[int], list[int]]:
+    """Levine-Tristram signatures and those of M_K on each arc, from z = 1
+    to z = -1.  The arcs are the same when det M_K is a unit multiple of
+    Delta."""
+    return _steps(data).arcs(), _steps(form).arcs()
 
 
 def signature_profile(data: SeifertData,

@@ -1,6 +1,10 @@
 """Executable property checks for presented pairings.
 
-Each check runs seeded random trials and reports pass/fail with a
+Well-definedness, sesquilinearity, hermitian symmetry, nonsingularity
+and consistency run seeded random trials; mk-form, kearton-ill-defined
+and fibred-specialization are exact, with no random draws: mk-form
+compares the signatures of M_K with the Levine-Tristram signatures on
+every arc of the unit circle.  Each check reports pass/fail with a
 replayable counterexample (entry grammar plus vectors in the CLI's
 comma-separated Laurent format).  The CLI ``verify`` command prints the
 reports; the test suite asserts them.
@@ -8,13 +12,12 @@ reports; the test suite asserts them.
 
 from __future__ import annotations
 
-import cmath
+import itertools
 import random
 from typing import Sequence
 
 from .catalog import CatalogEntry, _entry, random_seifert, render_entry
-from .invariants import (IndeterminateSignatureError, levine_tristram_signature,
-                         mk_signature)
+from .invariants import signature_arcs
 from .laurent import LaurentPoly, divides
 from .matrix import LAURENT, ZZ, Matrix, Record
 from .mkform import mk_matrix
@@ -22,9 +25,6 @@ from .pairing import (DualSurfaceData, DualSurfaceEvaluator, FibredData,
                       PresentedPairing, SeifertData, basis_vector,
                       from_dual_surface, from_fibred, from_seifert,
                       kearton_form)
-
-# unit-circle points at which check_mk compares sign(M_K) with Levine-Tristram
-MK_Z_SAMPLES = 8
 
 
 class CheckResult(Record):
@@ -210,11 +210,10 @@ def check_kearton(data: SeifertData, entry: CatalogEntry) -> CheckResult:
                        _counterexample(entry))
 
 
-def check_mk(data: SeifertData, entry: CatalogEntry,
-             rng: random.Random) -> CheckResult:
+def check_mk(data: SeifertData, entry: CatalogEntry) -> CheckResult:
     """M_K assembles (hermitian and nonsingular), its determinant matches
     det(tA - A^T) up to a unit, and its signatures agree with the
-    Levine-Tristram signatures at sampled points."""
+    Levine-Tristram signatures on every arc between Alexander roots."""
     try:
         form = mk_matrix(data)
     except (ArithmeticError, ValueError) as exc:
@@ -224,30 +223,15 @@ def check_mk(data: SeifertData, entry: CatalogEntry,
         return CheckResult("mk-form", False,
                            "det(M_K) is not a unit multiple of det(tA - A^T)",
                            _counterexample(entry))
-    if data.size:
-        done = 0
-        attempts = 0
-        while done < MK_Z_SAMPLES and attempts < 40 * MK_Z_SAMPLES:
-            attempts += 1
-            theta = rng.uniform(0.05, cmath.pi - 0.05)
-            z = cmath.exp(1j * theta)
-            try:
-                lt = levine_tristram_signature(data, z)
-                mk = mk_signature(form, z)
-            except IndeterminateSignatureError:
-                continue
-            if lt != mk:
-                return CheckResult(
-                    "mk-form", False,
-                    f"sign(M_K(z)) = {mk} but Levine-Tristram = {lt} at theta={theta:.4f}",
-                    _counterexample(entry))
-            done += 1
-        if done < MK_Z_SAMPLES:
-            return CheckResult("mk-form", False,
-                               "could not find enough determinate sample points",
-                               _counterexample(entry))
+    lt, mk = signature_arcs(data, form)
+    for arc, (lt_sig, mk_sig) in enumerate(itertools.zip_longest(lt, mk), 1):
+        if lt_sig != mk_sig:
+            return CheckResult(
+                "mk-form", False,
+                f"sign(M_K) = {mk_sig} but Levine-Tristram = {lt_sig} on arc {arc} of {len(lt)}",
+                _counterexample(entry))
     return CheckResult("mk-form", True,
-                       f"hermitian, det matches, {MK_Z_SAMPLES} signature samples")
+                       f"hermitian, det matches, signatures agree on all arcs ({len(lt)})")
 
 
 def check_fibred_specialization(data: FibredData, entry: CatalogEntry) -> CheckResult:
@@ -270,6 +254,8 @@ def check_fibred_specialization(data: FibredData, entry: CatalogEntry) -> CheckR
 def verify_entry(entry: CatalogEntry, trials: int = 25,
                  seed: int = 0) -> list[CheckResult]:
     """Run the full property suite appropriate to the entry's kind."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     rng = random.Random(seed)
     data = entry.data()
     if isinstance(data, DualSurfaceData):
@@ -280,7 +266,7 @@ def verify_entry(entry: CatalogEntry, trials: int = 25,
                              check_hermitian, check_nonsingular)]
     if isinstance(data, SeifertData):
         results.append(check_consistency(data, entry, rng, trials))
-        results.append(check_mk(data, entry, rng))
+        results.append(check_mk(data, entry))
         results.append(check_kearton(data, entry))
     else:
         results.append(check_fibred_specialization(data, entry))
@@ -294,14 +280,15 @@ def verify_random(genus: int, count: int, trials: int = 5,
     Stops at the first failing instance so the counterexample stays
     minimal; otherwise aggregates one result line per property.
     """
-    names = ["well-definedness", "sesquilinearity", "hermitian",
-             "nonsingularity", "consistency", "mk-form", "kearton-ill-defined"]
+    if count < 1:
+        raise ValueError(f"need at least one random instance, got {count}")
     for i in range(count):
         entry_seed = seed + i
         data = random_seifert(genus, 3, entry_seed)
         entry = seifert_entry(data, name=f"random-{genus}-{entry_seed}")
-        for res in verify_entry(entry, trials=trials, seed=entry_seed):
+        results = verify_entry(entry, trials=trials, seed=entry_seed)
+        for res in results:
             if not res.passed:
                 return [res]
-    return [CheckResult(name, True, f"{count} random instances, genus {genus}")
-            for name in names]
+    return [CheckResult(res.name, True, f"{count} random instances, genus {genus}")
+            for res in results]

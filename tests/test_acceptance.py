@@ -23,7 +23,7 @@ from blanchfield.pairing import (DualSurfaceData, SeifertData, as_laurent_vector
                                  from_seifert, kearton_value)
 from blanchfield.qmod import canonical_class
 from blanchfield.ratfunc import RationalFunction as RF
-from blanchfield.verify import random_laurent, random_vector
+from blanchfield.verify import check_mk, random_laurent, random_vector, seifert_entry
 
 TREFOIL = builtin("trefoil").data()
 FIG8 = builtin("figure-eight").data()
@@ -204,6 +204,16 @@ def test_criterion_8_mk_suite_100():
     elapsed = time.perf_counter() - t0
     _report("8 M_K suite (100 matrices, 8 z-samples each)",
             failures == 0 and elapsed < 120.0, elapsed)
+
+
+def test_criterion_8_check_mk_on_every_arc():
+    # the exact form of criterion 8: verify's mk-form check compares the
+    # two signature step functions on every arc, on the same corpus
+    t0 = time.perf_counter()
+    results = [check_mk(data, seifert_entry(data)) for data in _corpus(100, 3, 8000)]
+    elapsed = time.perf_counter() - t0
+    _report("8b verify mk-form on every arc (same 100 matrices)",
+            all(r.passed for r in results), elapsed)
 
 
 def test_criterion_9_kearton_negative_control():

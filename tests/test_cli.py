@@ -100,6 +100,13 @@ def test_signature_complex_literal(capsys):
     assert out.strip() == "-2"
 
 
+@pytest.mark.parametrize("z", ["0+i", "0-i", "0+1i"])
+def test_signature_bare_imaginary_unit(capsys, z):
+    # a bare sign before i is +-1: z = i and z = -i, both past the root pi/3
+    code, out, err = run(capsys, "signature", "trefoil", "--z", z)
+    assert (code, out, err) == (0, "-2\n", "")
+
+
 def test_signature_check_mk(capsys):
     code, out, _ = run(capsys, "signature", "trefoil", "--z", "theta:3.14159",
                        "--check-mk")

@@ -12,9 +12,8 @@ import pytest
 from blanchfield import _polyops
 from blanchfield.catalog import builtin, random_seifert
 from blanchfield.invariants import (IndeterminateSignatureError, _circle_polynomial,
-                                    _embed, _inertia, _seifert_form,
-                                    levine_tristram_signature, mk_signature,
-                                    signature_profile)
+                                    _embed, _inertia, levine_tristram_signature,
+                                    mk_signature, signature_arcs, signature_profile)
 from blanchfield.matrix import ZZ, Matrix
 from blanchfield.mkform import mk_matrix
 from blanchfield.pairing import SeifertData
@@ -55,6 +54,14 @@ def evaluate(p, z):
 
 def mk_reference(form, z):
     return eigvalsh_signature([[evaluate(e, z) for e in row] for row in form.mk.entries])
+
+
+def _seifert_form(a, p, q):
+    """Embedded H = p(A + A^T) + iq(A^T - A) for the integer rows a of A: at
+    slope p/q, (1 - z)A + (1 - conj z)A^T is a positive multiple of H."""
+    n = len(a)
+    return _embed([[p * (a[i][j] + a[j][i]) for j in range(n)] for i in range(n)],
+                  [[q * (a[j][i] - a[i][j]) for j in range(n)] for i in range(n)])
 
 
 def sympy_inertia(rows):
@@ -98,6 +105,14 @@ def test_profiles_match_eigvalsh(samples):
         profile = signature_profile(data, samples)
         assert [s for _, s in profile] == [
             lt_reference(data, cmath.exp(1j * theta)) for theta, _ in profile]
+
+
+@pytest.mark.parametrize("name, arcs", [
+    ("unknot", [0]), ("trefoil", [0, -2]), ("figure-eight", [0]),
+    ("cinquefoil", [0, -2, -4])])
+def test_signature_arcs_pins(name, arcs):
+    data = builtin(name).data()
+    assert signature_arcs(data, mk_matrix(data)) == (arcs, arcs)
 
 
 def test_trefoil_profile_marks_cyclotomic_roots():

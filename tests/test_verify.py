@@ -143,7 +143,42 @@ def test_well_defined_and_mk_on_random_instance():
     rng = random.Random(17)
     from blanchfield.pairing import from_seifert
     assert check_well_defined(from_seifert(data), entry, rng, 5).passed
-    assert check_mk(data, entry, rng).passed
+    assert check_mk(data, entry).passed
+
+
+@pytest.mark.parametrize("name, arcs", [("trefoil", 2), ("cinquefoil", 3)])
+def test_mk_check_fails_on_negated_form(monkeypatch, name, arcs):
+    # negative control: -M_K is hermitian and its det is a unit multiple of
+    # Delta, but its signatures are those of M_K negated
+    import blanchfield.verify as verify
+    from blanchfield.mkform import MKForm, mk_matrix
+    data = builtin(name).data()
+
+    def negated(data):
+        form = mk_matrix(data)
+        return MKForm(-form.mk, form.congruence, data)
+
+    monkeypatch.setattr(verify, "mk_matrix", negated)
+    result = check_mk(data, builtin(name))
+    assert not result.passed
+    assert result.line().startswith("mk-form: FAIL")
+    # arc 1 (next to z = 1) has signature 0 for both; arc 2 is the first to differ
+    assert result.detail == f"sign(M_K) = 2 but Levine-Tristram = -2 on arc 2 of {arcs}"
+    assert result.counterexample.startswith(render_entry(builtin(name)))
+
+
+def test_mk_check_unknot_has_one_arc():
+    result = check_mk(builtin("unknot").data(), builtin("unknot"))
+    assert result.passed
+    assert result.detail == "hermitian, det matches, signatures agree on all arcs (1)"
+
+
+def test_zero_trials_or_instances_raise():
+    # zero work must not report PASS
+    with pytest.raises(ValueError):
+        verify_random(2, 0)
+    with pytest.raises(ValueError):
+        verify_entry(builtin("trefoil"), trials=0)
 
 
 def _kearton_witness_by_value(data, bound):
