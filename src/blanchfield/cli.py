@@ -66,7 +66,9 @@ def _parse_circle_point(text: str) -> complex:
     m = text.strip()
     if m.endswith("i"):
         m = m[:-1]
-        split = max(m.rfind("+", 1), m.rfind("-", 1))
+        # the last sign that is not an exponent's, as in 1e-10
+        split = max((k for k in range(1, len(m)) if m[k] in "+-" and m[k - 1] not in "eE"),
+                    default=0)
         if split <= 0:
             raise InputError(f"bad complex number {text!r}, use re+imi or theta:<radians>")
         im = m[split:]  # a bare sign before i means +-1

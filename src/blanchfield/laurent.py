@@ -45,11 +45,11 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> LaurentPoly:
-        return cls(0, ())
+        return cls._of(0, ())
 
     @classmethod
     def one(cls) -> LaurentPoly:
-        return cls(0, (1,))
+        return cls._of(0, (1,))
 
     @classmethod
     def t_power(cls, k: int, coeff: int = 1) -> LaurentPoly:
@@ -57,7 +57,8 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, n: int) -> LaurentPoly:
-        return cls(0, (n,))
+        # an exact int needs no check; True, 2.0 or numpy ints are validated
+        return cls._of(0, (n,)) if type(n) is int else cls(0, (n,))
 
     def is_zero(self) -> bool:
         return not self.coeffs

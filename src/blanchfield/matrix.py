@@ -34,11 +34,14 @@ max over the rows read), and signed base-2^B digits hold exactly the
 coefficients below 2^(B-1) in absolute value, so B is the bit length of
 X plus 1, rounded up to a multiple of 32 so that calls share packed
 rows.  Each row is shifted by a power of t and packed lazily, once per
-width, in a memo on the matrix.  For an n x n matrix whose rows span
-d + 1 powers of t, v^T m w costs at most n^2 + n products of integers of
-about (d + 1) B bits and one read-back, with B about log2 X: polynomial
-in the input, and big-integer operations in place of n^2 Laurent
-products.
+width, in a memo on the matrix.  One pass over each vector reads its
+support, 1-norm and shift, each row's shift and largest norm are looked
+up once per call, and a w with one nonzero entry (a basis vector) costs
+one product per row instead of a sum.  For an n x n matrix whose rows
+span d + 1 powers of t, v^T m w costs at most n^2 + n products of
+integers of about (d + 1) B bits and one read-back, with B about
+log2 X: polynomial in the input, and big-integer operations in place of
+n^2 Laurent products.
 """
 
 from __future__ import annotations
@@ -323,34 +326,53 @@ def _unpack(x: int, bits: int, val: int) -> LaurentPoly:
 def _kronecker_apply(m: Matrix, w: Sequence, v: Sequence | None = None):
     """m w over Z[t,t^-1] as a tuple, or with v the polynomial v^T m w.
 
-    Only the rows in v's support are read.  The memo vars(m)["_packed"]
-    keeps each row's shift and largest entry 1-norm under its index i, and
-    the row packed at width B under (i, B), so each row is packed once per
-    width.
+    One pass over each vector reads its support, coefficient 1-norm and
+    shift, and only the rows in v's support are read.  The memo
+    vars(m)["_packed"] keeps each row's shift and largest entry 1-norm
+    under its index i, looked up once per call, and the row packed at
+    width B under (i, B), so each row is packed once per width.  When w
+    has one nonzero entry, each row contributes one product, not a sum.
     """
-    cols = [(j, e) for j, e in enumerate(w) if e.coeffs]
-    rows = range(m.rows) if v is None else [i for i, e in enumerate(v) if e.coeffs]
+    cols, w_norm, w_shift = _support(w)
+    rows, v_norm, v_shift = (range(m.rows), 1, 0) if v is None else _support(v)
     memo = vars(m).setdefault("_packed", {})
+    shifts, top_norm = [], 0
     for i in rows:
-        if i not in memo:
-            memo[i] = (_shift(m.entries[i]), max(map(_norm, m.entries[i]), default=0))
-    bound = (max([memo[i][1] for i in rows], default=0) * sum([_norm(e) for _, e in cols])
-             * (1 if v is None else sum([_norm(v[i]) for i in rows])))
-    bits = (bound.bit_length() + 32) // 32 * 32
-    w_shift = _shift(w)
-    cols = [(j, _pack(e, w_shift, bits)) for j, e in cols]
-    sums = []
-    for i in rows:
-        packed = memo.get((i, bits))
-        if packed is None:
-            packed = memo[i, bits] = [_pack(e, memo[i][0], bits) for e in m.entries[i]]
-        sums.append(sum([packed[j] * x for j, x in cols]))
+        row_shift, row_norm = memo.get(i) or memo.setdefault(
+            i, (_shift(m.entries[i]), max(map(_norm, m.entries[i]), default=0)))
+        shifts.append(row_shift)
+        top_norm = max(top_norm, row_norm)
+    bits = ((top_norm * w_norm * v_norm).bit_length() + 32) // 32 * 32
+    packed = []
+    for i, row_shift in zip(rows, shifts):
+        row = memo.get((i, bits))
+        if row is None:
+            row = memo[i, bits] = [_pack(e, row_shift, bits) for e in m.entries[i]]
+        packed.append(row)
+    xs = [(j, _pack(w[j], w_shift, bits)) for j in cols]
+    if len(xs) == 1:  # no generator sum for a basis vector or a multiple of one
+        ((j, x),) = xs
+        sums = [row[j] * x for row in packed]
+    else:
+        sums = [sum([row[j] * x for j, x in xs]) for row in packed]
     if v is None:
-        return tuple([_unpack(x, bits, -memo[i][0] - w_shift) for i, x in zip(rows, sums)])
-    top = max([memo[i][0] for i in rows], default=0)
-    v_shift = _shift(v)
-    total = sum([_pack(v[i], v_shift + top - memo[i][0], bits) * x for i, x in zip(rows, sums)])
+        return tuple([_unpack(x, bits, -s - w_shift) for x, s in zip(sums, shifts)])
+    top = max(shifts, default=0)
+    total = sum([_pack(v[i], v_shift + top - s, bits) * x
+                 for i, s, x in zip(rows, shifts, sums)])
     return _unpack(total, bits, -v_shift - top - w_shift)
+
+
+def _support(vec: Sequence) -> tuple[list[int], int, int]:
+    """(indices of the nonzero entries, sum of their 1-norms, _shift(vec))."""
+    idx, norm, low = [], 0, 0
+    for i, e in enumerate(vec):
+        if e.coeffs:
+            if not idx or e.val < low:
+                low = e.val
+            idx.append(i)
+            norm += sum(map(abs, e.coeffs))
+    return idx, norm, -low
 
 
 def _shift(polys) -> int:

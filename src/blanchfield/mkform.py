@@ -14,6 +14,11 @@ and each k x k block of M_K is an integer Laurent expression in A:
 
     ( a_ij                  a_ji - t a_ij                     )
     ( a_ij - t^-1 a_ji      (1 - t) a_ij + (1 - t^-1) a_ji    )
+
+With C the congruence, X = diag(id_k, (1 - t^-1) id_k) C is an isometry
+from the Seifert pairing to this one: X sends every column of tA - A^T
+to zero in Lambda^2k / M_K(t), and the Seifert value of (e_i, e_j)
+equals the M_K value of (X e_i, X e_j).  The test suite checks both.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ denominator d, and the value of (v, w) is the Q(t)/Z[t,t^-1] class of
 v^T N conj(w) / d.  The numerator is one packed integer dot product
 (matrix._kronecker_apply): N's rows in v's support, packed at t = 2^B
 once per width, against conj(w) packed the same way, read back as one
-Laurent polynomial.  The three sources of input data differ only in N
-and d:
+Laurent polynomial; for basis vectors v and w that is two products of
+packed integers.  The three sources of input data differ only in N and
+d:
 
   * a Seifert matrix A of a knot presents Lambda^2g / P with
     P = tA - A^T; the pairing (t-1)(A - tA^T)^{-1} is (1-t) adj(P)^T
@@ -23,7 +24,10 @@ matrix (tA - A^T, tP - id, i+ - t^{-1} i-) and its fraction-free
 elimination (adj, det) over Z[t,t^-1] once, on first use (for
 DualSurfaceData at construction, as its nonsingularity check), and
 every pairing, check and witness built from the same data object reads
-them.  Module membership uses the same adjugate: v presents zero
+them.  Each presentation is linear in t, so each entry t^s (c0 + c1 t)
+is written from two integers with no Laurent arithmetic: (c0, c1) is
+(-a_ji, a_ij), (-delta_ij, p_ij) or (-i-_ij, i+_ij), with s = 0, 0
+or -1.  Module membership uses the same adjugate: v presents zero
 exactly when det P divides every entry of adj(P) v.
 """
 
@@ -55,6 +59,14 @@ def _require_int_matrix(m: Matrix, name: str) -> Matrix:
 def _require_skew(j: Matrix) -> None:
     if not j.is_square() or j.transpose() != -j:
         raise InvariantViolation("J skew-symmetric")
+
+
+def _pencil(lo: Sequence[Sequence[int]], hi: Matrix, val: int = 0) -> Matrix:
+    """The Laurent matrix t^val (lo + t hi) for integer rows lo and an
+    integer matrix hi, each entry written straight from its two ints."""
+    of = LaurentPoly._of
+    return Matrix(LAURENT, [[of(val, (c0, c1)) for c0, c1 in zip(r0, r1)]
+                            for r0, r1 in zip(lo, hi.entries)], cols=hi.cols)
 
 
 class _PresentedData:
@@ -91,8 +103,8 @@ class SeifertData(_PresentedData):
     @functools.cached_property
     def presentation(self) -> Matrix:
         """The presentation matrix tA - A^T of the Alexander module."""
-        return (T * self.matrix.to_ring(LAURENT)
-                - self.matrix.transpose().to_ring(LAURENT))
+        return _pencil([[-x for x in col] for col in zip(*self.matrix.entries)],
+                       self.matrix)
 
     @property
     def genus(self) -> int:
@@ -134,8 +146,8 @@ class FibredData(_PresentedData):
         Its determinant has constant term det(-id) = +-1, so it never
         vanishes.
         """
-        return (T * self.monodromy.to_ring(LAURENT)
-                - Matrix.identity(LAURENT, self.size))
+        n = self.size
+        return _pencil([[-(i == j) for j in range(n)] for i in range(n)], self.monodromy)
 
     @property
     def size(self) -> int:
@@ -180,8 +192,8 @@ class DualSurfaceData(_PresentedData):
         It presents the Alexander module: it is t^-1 (tA - A^T) for
         (A, A^T) and t^-1 (tP - id) for (P, id).
         """
-        return (self.iota_plus.to_ring(LAURENT)
-                - T.conjugate() * self.iota_minus.to_ring(LAURENT))
+        return _pencil([[-x for x in row] for row in self.iota_minus.entries],
+                       self.iota_plus, -1)
 
     @property
     def size(self) -> int:

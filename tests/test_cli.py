@@ -107,6 +107,19 @@ def test_signature_bare_imaginary_unit(capsys, z):
     assert (code, out, err) == (0, "-2\n", "")
 
 
+@pytest.mark.parametrize("z, plain, value", [
+    ("-1+1e-10i", "-1+0.0000000001i", complex(-1, 1e-10)),
+    ("-1-1E-12i", "-1-0.000000000001i", complex(-1, -1e-12)),
+    ("1e-10+1i", "0.0000000001+1i", complex(1e-10, 1))])
+def test_signature_exponent_in_complex_literal(capsys, z, plain, value):
+    # the sign of an exponent is not the split between re and im
+    from blanchfield.cli import _parse_circle_point
+    assert _parse_circle_point(z) == _parse_circle_point(plain) == value
+    code, out, err = run(capsys, "signature", "trefoil", f"--z={z}")
+    assert (code, out, err) == run(capsys, "signature", "trefoil", f"--z={plain}")
+    assert code == 0 and out == "-2\n"
+
+
 def test_signature_check_mk(capsys):
     code, out, _ = run(capsys, "signature", "trefoil", "--z", "theta:3.14159",
                        "--check-mk")

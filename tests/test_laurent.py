@@ -157,3 +157,24 @@ def test_constructor_accepts_numpy_integers():
     p = LaurentPoly(-1, np.array([3, 0, -2], dtype=np.int64))
     assert p == LaurentPoly(-1, (3, 0, -2))
     assert all(type(c) is int for c in p.coeffs)
+
+
+def test_const_zero_and_one_keep_the_constructor_contract():
+    # an exact int skips the coefficient check; every other type still meets it
+    zero = LaurentPoly.const(0)
+    assert (zero.val, zero.coeffs) == (0, ()) and zero == ZERO and not zero
+    assert (LaurentPoly.zero().val, LaurentPoly.zero().coeffs) == (0, ())
+    assert (LaurentPoly.one().val, LaurentPoly.one().coeffs) == (0, (1,))
+    assert LaurentPoly.const(-7) == LaurentPoly(0, (-7,))
+    for n in (True, 2.0):
+        p = LaurentPoly.const(n)
+        assert p == LaurentPoly(0, (n,)) and all(type(c) is int for c in p.coeffs)
+    for bad in (0.4, "1"):
+        with pytest.raises(TypeError):
+            LaurentPoly.const(bad)
+
+
+def test_const_validates_numpy_integers():
+    np = pytest.importorskip("numpy")
+    p = LaurentPoly.const(np.int64(3))
+    assert p == LaurentPoly(0, (3,)) and type(p.coeffs[0]) is int

@@ -163,3 +163,44 @@ def test_mk_presented_pairing_built_once():
     assert pp._numer == -adj and pp._denom == det
     e1 = basis_vector(4, 0)
     assert mk_pairing_value(form, e1, e1) == pp.value(e1, e1)
+
+
+def _isometry_checks(data, top, bottom):
+    """(values agree, presentation killed) for X = diag(top id_k, bottom id_k) C,
+    with C the symplectic congruence of M_K."""
+    form = mk_matrix(data)
+    n, k = data.size, data.size // 2
+    scale = Matrix(LAURENT, [[(top if i < k else bottom) if i == j else LaurentPoly.zero()
+                              for j in range(n)] for i in range(n)], cols=n)
+    x = scale * form.congruence.to_ring(LAURENT)
+    seifert, e = from_seifert(data), [basis_vector(n, i) for i in range(n)]
+    agree = all(seifert.value(e[i], e[j]) == form.pairing_value(x.column(i), x.column(j))
+                for i in range(n) for j in range(n))
+    image = x * data.presentation
+    mk = form.to_presented_pairing()
+    killed = all(mk.is_zero_element(image.column(j)) for j in range(n))
+    return agree, killed
+
+
+ISOMETRY_CORPUS = [(g, s) for g in range(1, 5) for s in range(10)]
+
+
+def test_mk_isometry_carries_the_seifert_pairing():
+    # e_i -> X e_i maps Lambda^2g / (tA - A^T) onto the M_K module and
+    # carries the Seifert pairing to the M_K pairing
+    for g, s in ISOMETRY_CORPUS:
+        checks = _isometry_checks(random_seifert(g, 3, s), LaurentPoly.one(), 1 - T.conjugate())
+        assert checks == (True, True), (g, s)
+
+
+@pytest.mark.parametrize("top, bottom", [
+    (LaurentPoly.one(), LaurentPoly.one()),
+    (LaurentPoly.one(), 1 - T),
+    (1 - T.conjugate(), LaurentPoly.one())], ids=["C", "1-t", "top-block"])
+def test_mk_isometry_negative_controls(top, bottom):
+    # no factor, 1 - t in place of 1 - t^-1, or the factor on the top
+    # block: each check passes on only 1 of the 40
+    results = [_isometry_checks(random_seifert(g, 3, s), top, bottom)
+               for g, s in ISOMETRY_CORPUS]
+    assert sum(agree for agree, _ in results) == 1
+    assert sum(killed for _, killed in results) == 1

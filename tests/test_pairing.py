@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from blanchfield.catalog import random_seifert
+from blanchfield.catalog import builtin_catalog, random_seifert
 from blanchfield.laurent import LaurentPoly, T
 from blanchfield.matrix import LAURENT, ZZ, Matrix
 from blanchfield.mkform import mk_matrix
@@ -285,3 +285,49 @@ def test_dual_surface_matches_two_product_formula():
         pairs += [(random_vector(rng, n), random_vector(rng, n)) for _ in range(3)]
         for v, w in pairs:
             assert dual.value(v, w) == _dual_value_reference(data, v, w)
+
+
+def _laurent_presentation(data):
+    # the Laurent-arithmetic construction that the integer-built one replaced
+    if isinstance(data, SeifertData):
+        a = data.matrix.to_ring(LAURENT)
+        return T * a - a.transpose()
+    if isinstance(data, FibredData):
+        return T * data.monodromy.to_ring(LAURENT) - Matrix.identity(LAURENT, data.size)
+    return (data.iota_plus.to_ring(LAURENT)
+            - T.conjugate() * data.iota_minus.to_ring(LAURENT))
+
+
+def _block_diag(*blocks):
+    n = sum(b.rows for b in blocks)
+    rows, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b.entries):
+            rows[at + i][at:at + b.cols] = row
+        at += b.rows
+    return Matrix.from_int_rows(ZZ, rows)
+
+
+def _presentation_cases():
+    cases = [entry.data() for entry in builtin_catalog()]
+    cases += [random_seifert(genus, bound, seed) for genus in range(7)
+              for bound, seed in ((1, genus), (3, 10 + genus), (25, 20 + genus))]
+    p, j = TREFOIL_FIBRED.monodromy, TREFOIL_FIBRED.intersection
+    cases += [FibredData(p * p, j), FibredData(p * p * p, j),
+              FibredData(Matrix(ZZ, (), cols=0), Matrix(ZZ, (), cols=0))]
+    # P = diag(P_1, P_1^2) preserves J = diag(J_1, J_1)
+    cases.append(FibredData(_block_diag(p, p * p), _block_diag(j, j)))
+    cases.append(DualSurfaceData(p, Matrix.identity(ZZ, 2), j))
+    for genus in (1, 2, 3):
+        a = random_seifert(genus, 3, 30 + genus).matrix
+        cases.append(DualSurfaceData(a, a.transpose(), a - a.transpose()))
+    return cases + [UNKNOT]
+
+
+@pytest.mark.parametrize("data", _presentation_cases(), ids=lambda d: type(d).__name__)
+def test_integer_built_presentation_matches_laurent_arithmetic(data):
+    expected = _laurent_presentation(data)
+    assert data.presentation == expected
+    assert all(type(c) is int for row in data.presentation.entries
+               for e in row for c in e.coeffs)
+    assert data.adjugate == expected.adjugate()
