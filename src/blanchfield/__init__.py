@@ -25,8 +25,7 @@ _SUBMODULE = {name: module for module, names in {
                   "mk_signature signature_profile",
     "laurent": "LaurentPoly",
     "matrix": "LAURENT ZZ Matrix SingularMatrixError",
-    "mkform": "MKAssemblyError MKForm mk_matrix mk_pairing_value standard_symplectic "
-              "symplectic_normalize",
+    "mkform": "MKAssemblyError MKForm mk_matrix standard_symplectic symplectic_normalize",
     "pairing": "DualSurfaceData DualSurfaceEvaluator FibredData InvariantViolation "
                "PresentedPairing SeifertData as_laurent_vector basis_vector from_dual_surface "
                "from_fibred from_seifert kearton_value stabilize",
@@ -46,10 +45,10 @@ __all__ = [
     "alexander_polynomial", "as_laurent_vector", "basis_vector", "builtin",
     "builtin_catalog", "canonical_class", "from_dual_surface", "from_fibred",
     "from_seifert", "kearton_value", "kearton_witness",
-    "levine_tristram_signature", "load_entry", "mk_matrix",
-    "mk_pairing_value", "mk_signature", "random_seifert", "render_entry",
-    "signature_profile", "stabilize", "standard_symplectic",
-    "symplectic_normalize", "verify_entry", "verify_random",
+    "levine_tristram_signature", "load_entry", "mk_matrix", "mk_signature",
+    "random_seifert", "render_entry", "signature_profile", "stabilize",
+    "standard_symplectic", "symplectic_normalize", "verify_entry",
+    "verify_random",
 ]
 
 

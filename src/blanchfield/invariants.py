@@ -295,7 +295,7 @@ def _steps(owner: SeifertData | MKForm) -> _SignatureSteps:
                         for j in range(len(a))] for i in range(len(a))]
         else:
             jumps, entries = owner.determinant(), owner.mk.entries
-        steps = owner._signature_steps = _SignatureSteps(jumps, entries)
+        steps = vars(owner)["_signature_steps"] = _SignatureSteps(jumps, entries)
     return steps
 
 

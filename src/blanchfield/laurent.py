@@ -7,6 +7,10 @@ from typing import Sequence
 
 from . import _polyops
 
+# the largest |exponent| parse accepts: for a non-monic Delta the canonical
+# class of t^k grows as k^2, so a short input could ask for unbounded work
+MAX_EXPONENT = 1000
+
 
 class LaurentPoly:
     """A Laurent polynomial over the integers.
@@ -160,7 +164,8 @@ class LaurentPoly:
 
     @classmethod
     def parse(cls, text: str) -> LaurentPoly:
-        """Parse the rendering grammar, e.g. ``t^2 - t + 1`` or ``-3t^-2``.
+        """Parse the rendering grammar, e.g. ``t^2 - t + 1`` or ``-3t^-2``;
+        an exponent beyond +-MAX_EXPONENT raises ValueError.
 
         >>> LaurentPoly.parse('t - 1 + t^-1')
         LaurentPoly('t - 1 + t^-1')
@@ -186,6 +191,8 @@ class LaurentPoly:
             else:
                 coef = 1
                 exp = int(m.group("exp2")) if m.group("exp2") else 1
+            if abs(exp) > MAX_EXPONENT:
+                raise ValueError(f"exponent |{exp}| exceeds MAX_EXPONENT = {MAX_EXPONENT}")
             acc[exp] = acc.get(exp, 0) + sign * coef
             pos = m.end()
             first = False

@@ -19,16 +19,17 @@ With C the congruence, X = diag(id_k, (1 - t^-1) id_k) C is an isometry
 from the Seifert pairing to this one: X sends every column of tA - A^T
 to zero in Lambda^2k / M_K(t), and the Seifert value of (e_i, e_j)
 equals the M_K value of (X e_i, X e_j).  The test suite checks both.
+
+MKForm is presented data like SeifertData: an immutable Record whose
+presentation is M_K, with its elimination cached on first use.  Its
+pairing is a PresentedPairing over that elimination.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .laurent import LaurentPoly, T
 from .matrix import LAURENT, ZZ, Matrix
-from .pairing import PresentedPairing, SeifertData
-from .qmod import QModLambda
+from .pairing import PresentedPairing, SeifertData, _PresentedData
 
 
 class MKAssemblyError(ArithmeticError):
@@ -119,23 +120,28 @@ def standard_symplectic(k: int) -> Matrix:
     return Matrix.from_int_rows(ZZ, rows)
 
 
-class MKForm:
+class MKForm(_PresentedData):
     """M_K(t) together with the congruence used to standardize A - A^T.
 
-    Raises MKAssemblyError unless M_K is hermitian and nonsingular; the
+    An immutable Record whose presentation is M_K.  Raises
+    MKAssemblyError unless M_K is hermitian and nonsingular; the
     determinant taken for that check is kept.
     """
 
-    def __init__(self, mk: Matrix, congruence: Matrix, source: SeifertData):
+    _fields = ("mk", "congruence")
+
+    def __init__(self, mk: Matrix, congruence: Matrix):
         if mk.conjugate_transpose() != mk:
             raise MKAssemblyError("assembled M_K is not hermitian")
-        self._det = mk.det()
-        if not self._det:
+        det = mk.det()
+        if not det:
             raise MKAssemblyError("assembled M_K is singular")
-        self.mk = mk
-        self.congruence = congruence
-        self.source = source
-        self._pairing: PresentedPairing | None = None
+        super().__init__(mk, congruence)
+        vars(self)["_det"] = det
+
+    @property
+    def presentation(self) -> Matrix:
+        return self.mk
 
     @property
     def size(self) -> int:
@@ -147,17 +153,14 @@ class MKForm:
     def to_presented_pairing(self) -> PresentedPairing:
         """Module Lambda^2k/M_K(t) with pairing -v^T M_K(t^-1)^{-1} conj(w),
         built on the first call and shared by later ones."""
-        if self._pairing is None:
+        pairing = vars(self).get("_pairing")
+        if pairing is None:
             # adj(M_K(t^-1)) and det(M_K(t^-1)) are the conjugates of
             # adj(M_K) and det(M_K)
-            adj, det = self.mk.adjugate()
-            self._pairing = PresentedPairing(
-                self.mk, -adj.conjugate(), det.conjugate(), "mk",
-                adjugate=(adj, det))
-        return self._pairing
-
-    def pairing_value(self, v: Sequence, w: Sequence) -> QModLambda:
-        return self.to_presented_pairing().value(v, w)
+            adj, det = self.adjugate
+            pairing = vars(self)["_pairing"] = PresentedPairing(
+                self, -adj.conjugate(), det.conjugate())
+        return pairing
 
     def __repr__(self) -> str:
         return f"<MKForm 2k={self.size}>"
@@ -188,9 +191,5 @@ def mk_matrix(data: SeifertData) -> MKForm:
 
     mk = Matrix(LAURENT, [[entry(i, j) for j in range(n)] for i in range(n)],
                 cols=n)
-    return MKForm(mk, congruence, data)
+    return MKForm(mk, congruence)
 
-
-def mk_pairing_value(form: MKForm, v: Sequence, w: Sequence) -> QModLambda:
-    """Class of -v^T (M_K(t^-1))^{-1} conj(w) in Q/Lambda."""
-    return form.pairing_value(v, w)

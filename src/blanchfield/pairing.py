@@ -19,16 +19,26 @@ d:
     the closed form -((i+ - t^{-1} i-)^{-1} i+ v)^T J conj(w), that is
     N = -(adj(i+ - t^{-1} i-) i+)^T J over det(i+ - t^{-1} i-).
 
-SeifertData, FibredData and DualSurfaceData build their presentation
-matrix (tA - A^T, tP - id, i+ - t^{-1} i-) and its fraction-free
-elimination (adj, det) over Z[t,t^-1] once, on first use (for
-DualSurfaceData at construction, as its nonsingularity check), and
-every pairing, check and witness built from the same data object reads
-them.  Each presentation is linear in t, so each entry t^s (c0 + c1 t)
-is written from two integers with no Laurent arithmetic: (c0, c1) is
-(-a_ji, a_ij), (-delta_ij, p_ij) or (-i-_ij, i+_ij), with s = 0, 0
-or -1.  Module membership uses the same adjugate: v presents zero
-exactly when det P divides every entry of adj(P) v.
+SeifertData, FibredData and DualSurfaceData are immutable Records.  Each
+builds its presentation matrix (tA - A^T, tP - id, i+ - t^{-1} i-) and
+its fraction-free elimination (adj, det) over Z[t,t^-1] once, on first
+use (for DualSurfaceData at construction, as its nonsingularity check),
+and every pairing, check and witness built from the same data object
+reads them.  Each presentation is linear in t, so each entry
+t^s (c0 + c1 t) is written from two integers with no Laurent arithmetic:
+(c0, c1) is (-a_ji, a_ij), (-delta_ij, p_ij) or (-i-_ij, i+_ij), with
+s = 0, 0 or -1.
+
+PresentedPairing(data, N, d) reads the presentation and its elimination
+from the data object (SeifertData, FibredData or mkform.MKForm), so the
+two cannot disagree; DualSurfaceEvaluator shares its (N, d) form and
+value but not its membership test, as its N is not well-defined modulo
+the presentation in these coordinates.
+
+For a Seifert matrix A with det A = +-1 the two theorems agree: the
+fibred data P = A^-T A, J = A - A^T have tP - id = A^-T (tA - A^T), and
+the tests check that X = A^-1 is an isometry from the Seifert pairing to
+the fibred one that sends every column of tA - A^T to zero.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ import functools
 from typing import Sequence
 
 from .laurent import LaurentPoly, T, divides
-from .matrix import LAURENT, ZZ, Matrix, SingularMatrixError, _kronecker_apply
+from .matrix import LAURENT, ZZ, Matrix, Record, SingularMatrixError, _kronecker_apply
 from .qmod import QModLambda
 from .ratfunc import RationalFunction
 
@@ -69,11 +79,12 @@ def _pencil(lo: Sequence[Sequence[int]], hi: Matrix, val: int = 0) -> Matrix:
                             for r0, r1 in zip(lo, hi.entries)], cols=hi.cols)
 
 
-class _PresentedData:
+class _PresentedData(Record):
     """Input data whose Alexander module has a square presentation matrix.
 
-    Subclasses define the cached property presentation; its elimination
-    is computed on first use and never changes after.
+    An immutable Record: subclasses name their fields and define the
+    property presentation; its elimination is computed on first use and
+    kept in the instance dict, out of equality.
     """
 
     presentation: Matrix
@@ -91,6 +102,8 @@ class SeifertData(_PresentedData):
     (its determinant, being the square of the Pfaffian, equals +1).
     """
 
+    _fields = ("matrix",)
+
     def __init__(self, matrix: Matrix):
         _require_int_matrix(matrix, "A")
         if not matrix.is_square() or matrix.rows % 2:
@@ -98,7 +111,7 @@ class SeifertData(_PresentedData):
         skew = matrix - matrix.transpose()
         if skew.det() != 1:
             raise InvariantViolation("A - A^T unimodular skew")
-        self.matrix = matrix
+        super().__init__(matrix)
 
     @functools.cached_property
     def presentation(self) -> Matrix:
@@ -114,15 +127,14 @@ class SeifertData(_PresentedData):
     def size(self) -> int:
         return self.matrix.rows
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SeifertData) and self.matrix == other.matrix
-
     def __repr__(self) -> str:
         return f"SeifertData({self.matrix})"
 
 
 class FibredData(_PresentedData):
     """Monodromy matrix P and intersection matrix J of a fibred 3-manifold."""
+
+    _fields = ("monodromy", "intersection")
 
     def __init__(self, monodromy: Matrix, intersection: Matrix):
         _require_int_matrix(monodromy, "P")
@@ -136,8 +148,7 @@ class FibredData(_PresentedData):
             raise InvariantViolation("P and J of equal size")
         if monodromy.transpose() * intersection * monodromy != intersection:
             raise InvariantViolation("P^T J P = J")
-        self.monodromy = monodromy
-        self.intersection = intersection
+        super().__init__(monodromy, intersection)
 
     @functools.cached_property
     def presentation(self) -> Matrix:
@@ -153,11 +164,6 @@ class FibredData(_PresentedData):
     def size(self) -> int:
         return self.monodromy.rows
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FibredData)
-                and self.monodromy == other.monodromy
-                and self.intersection == other.intersection)
-
 
 class DualSurfaceData(_PresentedData):
     """Inclusion maps i+, i- and intersection form J for a dual surface.
@@ -165,6 +171,8 @@ class DualSurfaceData(_PresentedData):
     The Mayer-Vietoris condition that i+ - t^{-1} i- be invertible over
     Q(t) forces the two inclusion matrices to be square here.
     """
+
+    _fields = ("iota_plus", "iota_minus", "intersection")
 
     def __init__(self, iota_plus: Matrix, iota_minus: Matrix, intersection: Matrix):
         _require_int_matrix(iota_plus, "Iplus")
@@ -177,9 +185,7 @@ class DualSurfaceData(_PresentedData):
         _require_skew(intersection)
         if intersection.rows != iota_plus.cols:
             raise InvariantViolation("J size matches iota domain")
-        self.iota_plus = iota_plus
-        self.iota_minus = iota_minus
-        self.intersection = intersection
+        super().__init__(iota_plus, iota_minus, intersection)
         try:
             self.adjugate
         except SingularMatrixError:
@@ -198,12 +204,6 @@ class DualSurfaceData(_PresentedData):
     @property
     def size(self) -> int:
         return self.iota_plus.rows
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DualSurfaceData)
-                and self.iota_plus == other.iota_plus
-                and self.iota_minus == other.iota_minus
-                and self.intersection == other.intersection)
 
 
 def as_laurent_vector(v: Sequence) -> tuple[LaurentPoly, ...]:
@@ -246,41 +246,49 @@ def _sesquilinear(numer: Matrix, v: Sequence, w: Sequence) -> LaurentPoly:
     return _kronecker_apply(numer, [e.conjugate() if e.coeffs else e for e in w], v)
 
 
-class PresentedPairing:
-    """A nonsingular square presentation over Z[t,t^-1] plus its pairing form.
+class _PairingForm:
+    """A Laurent numerator matrix N over one Laurent denominator d, read off
+    the elimination of data: v, w pair to the class of v^T N conj(w) / d."""
 
-    The form is a Laurent numerator matrix N over one Laurent
-    denominator d, and the pairing of coordinate vectors v, w is the
-    Q/Lambda class of v^T N conj(w) / d.  adjugate is (adj, det) of the
-    presentation; membership tests read it.
-    """
-
-    def __init__(self, presentation: Matrix, pairing_numer: Matrix,
-                 pairing_denom: LaurentPoly, label: str,
-                 adjugate: tuple[Matrix, LaurentPoly]):
-        if presentation.ring is not LAURENT or pairing_numer.ring is not LAURENT:
-            raise ValueError("presentation data must live over Z[t,t^-1]")
-        if not presentation.is_square() or pairing_numer.rows != presentation.rows \
-                or not pairing_numer.is_square():
-            raise ValueError("presentation and pairing matrices must be square, same size")
-        if presentation.rows and not adjugate[1]:
-            raise InvariantViolation("det(presentation) != 0")
-        if pairing_denom.is_zero():
-            raise InvariantViolation("pairing denominator nonzero")
-        self.presentation = presentation
-        self.label = label
-        self._numer = pairing_numer
-        self._denom = pairing_denom
-        self._adjugate = adjugate
+    def __init__(self, data: _PresentedData, numer: Matrix, denom: LaurentPoly):
+        self.data = data
+        self._numer = numer
+        self._denom = denom
 
     @property
     def size(self) -> int:
-        return self.presentation.rows
+        return self._numer.rows
 
     @property
     def form(self) -> tuple[Matrix, LaurentPoly]:
         """(N, d): the pairing matrix is N / d, with N over Z[t,t^-1]."""
         return self._numer, self._denom
+
+    def value(self, v: Sequence, w: Sequence) -> QModLambda:
+        """The pairing of two coordinate vectors, as its class in Q/Lambda."""
+        return QModLambda._pair(_sesquilinear(self._numer, v, w), self._denom)
+
+
+class PresentedPairing(_PairingForm):
+    """The pairing form N / d on the module presented by data, a
+    SeifertData, FibredData or MKForm; membership reads data.adjugate."""
+
+    def __init__(self, data: _PresentedData, numer: Matrix, denom: LaurentPoly):
+        presentation = data.presentation
+        if presentation.ring is not LAURENT or numer.ring is not LAURENT:
+            raise ValueError("presentation data must live over Z[t,t^-1]")
+        if not presentation.is_square() or numer.rows != presentation.rows \
+                or not numer.is_square():
+            raise ValueError("presentation and pairing matrices must be square, same size")
+        if presentation.rows and not data.adjugate[1]:
+            raise InvariantViolation("det(presentation) != 0")
+        if denom.is_zero():
+            raise InvariantViolation("pairing denominator nonzero")
+        super().__init__(data, numer, denom)
+
+    @property
+    def presentation(self) -> Matrix:
+        return self.data.presentation
 
     @property
     def pairing_matrix(self) -> Matrix:
@@ -288,10 +296,6 @@ class PresentedPairing:
         only for the benchmark oracle, which will read form instead."""
         return Matrix(None, [[RationalFunction(e, self._denom) for e in row]
                              for row in self._numer.entries], cols=self.size)
-
-    def value(self, v: Sequence, w: Sequence) -> QModLambda:
-        """The pairing of two coordinate vectors, as its class in Q/Lambda."""
-        return QModLambda._pair(_sesquilinear(self._numer, v, w), self._denom)
 
     def element_equal(self, v: Sequence, w: Sequence) -> bool:
         """Do v and w present the same element of the module?"""
@@ -301,11 +305,11 @@ class PresentedPairing:
     def is_zero_element(self, v: Sequence) -> bool:
         """Does v present zero, that is, does det P divide every entry of adj(P) v?"""
         (v,) = _vectors(self.size, v)
-        adj, det = self._adjugate
+        adj, det = self.data.adjugate
         return all(divides(det, e) for e in adj.mul_vec(v))
 
     def __repr__(self) -> str:
-        return f"<PresentedPairing {self.label} n={self.size}>"
+        return f"<PresentedPairing {type(self.data).__name__} n={self.size}>"
 
 
 def from_seifert(data: SeifertData) -> PresentedPairing:
@@ -316,8 +320,7 @@ def from_seifert(data: SeifertData) -> PresentedPairing:
     # A - tA^T = -P^T for P = tA - A^T, so (t-1)(A - tA^T)^{-1} is
     # (1-t) adj(P)^T over det P
     adj, det = data.adjugate
-    return PresentedPairing(data.presentation, (1 - T) * adj.transpose(), det,
-                            "seifert", adjugate=data.adjugate)
+    return PresentedPairing(data, (1 - T) * adj.transpose(), det)
 
 
 def from_fibred(data: FibredData) -> PresentedPairing:
@@ -327,12 +330,11 @@ def from_fibred(data: FibredData) -> PresentedPairing:
     """
     # adj(t^-1 P - id) is the conjugate of adj(tP - id)
     adj, det = data.adjugate
-    return PresentedPairing(data.presentation,
-                            data.intersection.to_ring(LAURENT) * adj.conjugate(),
-                            det.conjugate(), "fibred", adjugate=data.adjugate)
+    return PresentedPairing(data, data.intersection.to_ring(LAURENT) * adj.conjugate(),
+                            det.conjugate())
 
 
-class DualSurfaceEvaluator:
+class DualSurfaceEvaluator(_PairingForm):
     """Evaluator for the dual-surface pairing formula.
 
     value(v, w) computes the Q/Lambda class of
@@ -346,18 +348,10 @@ class DualSurfaceEvaluator:
     """
 
     def __init__(self, data: DualSurfaceData):
-        self.data = data
-        adj, self._denom = data.adjugate
+        adj, det = data.adjugate
         # -(adj i+ v)^T J conj(w) = v^T N conj(w) with N = -(adj i+)^T J
-        self._numer = (-(adj * data.iota_plus.to_ring(LAURENT)).transpose()
-                       * data.intersection.to_ring(LAURENT))
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def value(self, v: Sequence, w: Sequence) -> QModLambda:
-        return QModLambda._pair(_sesquilinear(self._numer, v, w), self._denom)
+        super().__init__(data, -(adj * data.iota_plus.to_ring(LAURENT)).transpose()
+                         * data.intersection.to_ring(LAURENT), det)
 
 
 def from_dual_surface(data: DualSurfaceData) -> DualSurfaceEvaluator:

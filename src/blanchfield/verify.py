@@ -1,20 +1,21 @@
 """Executable property checks for presented pairings.
 
 Well-definedness, sesquilinearity, hermitian symmetry, nonsingularity
-and consistency run seeded random trials; mk-form, kearton-ill-defined
-and fibred-specialization are exact, with no random draws: mk-form
-compares the signatures of M_K with the Levine-Tristram signatures on
-every arc of the unit circle.  Each check reports pass/fail with a
-replayable counterexample (entry grammar plus vectors in the CLI's
-comma-separated Laurent format).  The CLI ``verify`` command prints the
-reports; the test suite asserts them.
+and consistency run seeded random trials through one loop, which calls
+a module of rank 0 vacuous rather than count trials that drew nothing;
+mk-form, kearton-ill-defined and fibred-specialization are exact, with
+no random draws: mk-form compares the signatures of M_K with the
+Levine-Tristram signatures on every arc of the unit circle.  Each check
+reports pass/fail with a replayable counterexample (entry grammar plus
+vectors in the CLI's comma-separated Laurent format).  The CLI
+``verify`` command prints the reports; the test suite asserts them.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .catalog import CatalogEntry, _entry, random_seifert, render_entry
 from .invariants import signature_arcs
@@ -68,23 +69,35 @@ def _counterexample(entry: CatalogEntry, **vectors) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _trials(name: str, entry: CatalogEntry, n: int, trials: int,
+            trial: Callable[[int], tuple[str, dict] | None]) -> CheckResult:
+    """Run trial(k) for k < trials; a trial draws its own vectors and returns
+    None, or (detail, counterexample vectors) on failure.  A module of
+    rank n = 0 has nothing to draw, so the check is vacuous."""
+    if n == 0:
+        return CheckResult(name, True, "vacuous for genus 0")
+    for k in range(trials):
+        failure = trial(k)
+        if failure is not None:
+            detail, vectors = failure
+            return CheckResult(name, False, detail, _counterexample(entry, **vectors))
+    return CheckResult(name, True, f"{trials} trials")
+
+
 def check_well_defined(pairing: PresentedPairing, entry: CatalogEntry,
                        rng: random.Random, trials: int) -> CheckResult:
     """Pairing values are unchanged by shifts along the presentation, both slots."""
     n = pairing.size
-    for _ in range(trials):
-        if n == 0:
-            break
+
+    def trial(_):
         v, w, x = (random_vector(rng, n) for _ in range(3))
         shift = pairing.presentation.mul_vec(x)
         base = pairing.value(v, w)
         v2 = tuple(a + b for a, b in zip(v, shift))
         w2 = tuple(a + b for a, b in zip(w, shift))
         if pairing.value(v2, w) != base or pairing.value(v, w2) != base:
-            return CheckResult("well-definedness", False,
-                               "value moved under a presentation shift",
-                               _counterexample(entry, v=v, w=w, x=x))
-    return CheckResult("well-definedness", True, f"{trials} trials")
+            return "value moved under a presentation shift", dict(v=v, w=w, x=x)
+    return _trials("well-definedness", entry, n, trials, trial)
 
 
 def check_sesquilinear(pairing: PresentedPairing | DualSurfaceEvaluator,
@@ -92,32 +105,26 @@ def check_sesquilinear(pairing: PresentedPairing | DualSurfaceEvaluator,
                        trials: int) -> CheckResult:
     """value(p v, q w) = p * value(v, w) * conj(q) as classes."""
     n = pairing.size
-    for _ in range(trials):
-        if n == 0:
-            break
+
+    def trial(_):
         v, w = random_vector(rng, n), random_vector(rng, n)
         p, q = random_laurent(rng), random_laurent(rng)
         lhs = pairing.value(tuple(p * e for e in v), tuple(q * e for e in w))
-        rhs = pairing.value(v, w) * (p * q.conjugate())
-        if lhs != rhs:
-            return CheckResult("sesquilinearity", False,
-                               f"fails for p={p}, q={q}",
-                               _counterexample(entry, v=v, w=w, p=(p,), q=(q,)))
-    return CheckResult("sesquilinearity", True, f"{trials} trials")
+        if lhs != pairing.value(v, w) * (p * q.conjugate()):
+            return f"fails for p={p}, q={q}", dict(v=v, w=w, p=(p,), q=(q,))
+    return _trials("sesquilinearity", entry, n, trials, trial)
 
 
 def check_hermitian(pairing: PresentedPairing, entry: CatalogEntry,
                     rng: random.Random, trials: int) -> CheckResult:
     """value(v, w) equals the conjugate class of value(w, v)."""
     n = pairing.size
-    for _ in range(trials):
-        if n == 0:
-            break
+
+    def trial(_):
         v, w = random_vector(rng, n), random_vector(rng, n)
         if pairing.value(v, w) != pairing.value(w, v).conjugate():
-            return CheckResult("hermitian", False, "conjugate symmetry fails",
-                               _counterexample(entry, v=v, w=w))
-    return CheckResult("hermitian", True, f"{trials} trials")
+            return "conjugate symmetry fails", dict(v=v, w=w)
+    return _trials("hermitian", entry, n, trials, trial)
 
 
 def check_nonsingular(pairing: PresentedPairing, entry: CatalogEntry,
@@ -125,22 +132,18 @@ def check_nonsingular(pairing: PresentedPairing, entry: CatalogEntry,
     """value(e_i, w) = 0 for all i exactly when w is zero in the module."""
     n = pairing.size
     basis = [basis_vector(n, i) for i in range(n)]
-    for trial in range(trials):
-        if n == 0:
-            break
-        if trial % 3 == 2:
+
+    def trial(k):
+        if k % 3 == 2:
             # exercise the zero side with an element of the image
-            x = random_vector(rng, n)
-            w = pairing.presentation.mul_vec(x)
+            w = pairing.presentation.mul_vec(random_vector(rng, n))
         else:
             w = random_vector(rng, n)
         all_zero = all(pairing.value(e, w).is_zero() for e in basis)
         if all_zero != pairing.is_zero_element(w):
-            return CheckResult("nonsingularity", False,
-                               f"annihilated-by-basis {all_zero} but "
-                               f"zero-in-module {not all_zero}",
-                               _counterexample(entry, w=w))
-    return CheckResult("nonsingularity", True, f"{trials} trials")
+            return (f"annihilated-by-basis {all_zero} but zero-in-module {not all_zero}",
+                    dict(w=w))
+    return _trials("nonsingularity", entry, n, trials, trial)
 
 
 def check_consistency(data: SeifertData, entry: CatalogEntry,
@@ -151,22 +154,17 @@ def check_consistency(data: SeifertData, entry: CatalogEntry,
     (Av)^T (t-1)(A - tA^T)^{-1} conj(Aw).
     """
     n = data.size
-    if n == 0:
-        return CheckResult("consistency", True, "vacuous for genus 0")
     dual = from_dual_surface(DualSurfaceData(
         data.matrix, data.matrix.transpose(),
         data.matrix - data.matrix.transpose()))
     seifert = from_seifert(data)
     a = data.matrix.to_ring(LAURENT)
-    for _ in range(trials):
+
+    def trial(_):
         v, w = random_vector(rng, n), random_vector(rng, n)
-        lhs = dual.value(v, w)
-        rhs = seifert.value(a.mul_vec(v), a.mul_vec(w))
-        if lhs != rhs:
-            return CheckResult("consistency", False,
-                               "dual-surface and Seifert formulas disagree",
-                               _counterexample(entry, v=v, w=w))
-    return CheckResult("consistency", True, f"{trials} trials")
+        if dual.value(v, w) != seifert.value(a.mul_vec(v), a.mul_vec(w)):
+            return "dual-surface and Seifert formulas disagree", dict(v=v, w=w)
+    return _trials("consistency", entry, n, trials, trial)
 
 
 def kearton_witness(data: SeifertData) -> tuple[tuple[int, ...], int] | None:

@@ -62,6 +62,13 @@ def test_pairing_full_matrix_fibred(capsys):
     assert len(grid) == 2 and len(grid[0]) == 2
 
 
+@pytest.mark.parametrize("exponent", ["1001", "-1001"])
+def test_pairing_exponent_past_the_bound_is_input_error(capsys, exponent):
+    code, out, err = run(capsys, "pairing", "trefoil", "--v", f"t^{exponent},0", "--w", "1,0")
+    assert (code, out) == (2, "")
+    assert "MAX_EXPONENT = 1000" in err
+
+
 def test_pairing_dimension_mismatch_is_input_error(capsys):
     code, _, err = run(capsys, "pairing", "trefoil", "--v", "1", "--w", "1,0")
     assert code == 2

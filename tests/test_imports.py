@@ -158,7 +158,7 @@ def test_public_surface_is_pinned():
         "basis_vector", "builtin", "builtin_catalog", "canonical_class",
         "from_dual_surface", "from_fibred", "from_seifert", "kearton_value",
         "kearton_witness", "levine_tristram_signature", "load_entry", "mk_matrix",
-        "mk_pairing_value", "mk_signature", "random_seifert", "render_entry",
+        "mk_signature", "random_seifert", "render_entry",
         "signature_profile", "stabilize", "standard_symplectic", "symplectic_normalize",
         "verify_entry", "verify_random",
     ]

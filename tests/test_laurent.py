@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from blanchfield.laurent import LaurentPoly, T, ONE, ZERO, divides
+from blanchfield.laurent import MAX_EXPONENT, LaurentPoly, T, ONE, ZERO, divides
 
 laurents = st.builds(
     LaurentPoly,
@@ -83,6 +83,17 @@ def test_parse_rejects_garbage():
     for bad in ("", "t^", "1 2", "q + 1", "t+"):
         with pytest.raises(ValueError):
             LaurentPoly.parse(bad)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_parse_bounds_the_exponent(sign):
+    # at the limit parse accepts; past it, it raises before allocating
+    k = sign * MAX_EXPONENT
+    assert LaurentPoly.parse(f"2 + t^{k}").coefficient(k) == 1
+    assert LaurentPoly.parse(f"3t^{k}").coefficient(k) == 3
+    for text in (f"t^{k + sign}", f"1 - 3t^{k + sign}", f"t^{sign * 10 ** 9}"):
+        with pytest.raises(ValueError, match="MAX_EXPONENT"):
+            LaurentPoly.parse(text)
 
 
 @given(laurents, laurents, laurents)

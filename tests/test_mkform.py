@@ -5,8 +5,7 @@ import pytest
 from blanchfield.catalog import builtin, random_seifert
 from blanchfield.laurent import LaurentPoly, T
 from blanchfield.matrix import LAURENT, ZZ, Matrix
-from blanchfield.mkform import (mk_matrix, mk_pairing_value, standard_symplectic,
-                                symplectic_normalize)
+from blanchfield.mkform import mk_matrix, standard_symplectic, symplectic_normalize
 from blanchfield.pairing import SeifertData, basis_vector, from_seifert
 from blanchfield.verify import random_vector
 
@@ -89,15 +88,15 @@ def test_mk_empty():
 def test_mk_pairing_trefoil_value_and_hermitian():
     form = mk_matrix(TREFOIL)
     e1, e2 = basis_vector(2, 0), basis_vector(2, 1)
-    v11 = mk_pairing_value(form, e1, e1)
-    assert str(v11) == "(-t)/(t^2 - t + 1)"
-    assert mk_pairing_value(form, e1, e2) == mk_pairing_value(form, e2, e1).conjugate()
+    pairing = form.to_presented_pairing()
+    assert str(pairing.value(e1, e1)) == "(-t)/(t^2 - t + 1)"
+    assert pairing.value(e1, e2) == pairing.value(e2, e1).conjugate()
 
 
 def test_mk_pairing_zero_vector():
     form = mk_matrix(TREFOIL)
     zero = (LaurentPoly.zero(), LaurentPoly.zero())
-    assert mk_pairing_value(form, zero, basis_vector(2, 0)).is_zero()
+    assert form.to_presented_pairing().value(zero, basis_vector(2, 0)).is_zero()
 
 
 def test_mk_pairing_well_defined_under_presentation_shift():
@@ -161,8 +160,8 @@ def test_mk_presented_pairing_built_once():
     # the numerator is -adj(M_K(t^-1)), taken as the conjugate of -adj(M_K)
     adj, det = form.mk.conjugate().adjugate()
     assert pp._numer == -adj and pp._denom == det
-    e1 = basis_vector(4, 0)
-    assert mk_pairing_value(form, e1, e1) == pp.value(e1, e1)
+    # membership reads the elimination cached on the form
+    assert pp.data is form and form.adjugate == form.mk.adjugate()
 
 
 def _isometry_checks(data, top, bottom):
@@ -174,10 +173,10 @@ def _isometry_checks(data, top, bottom):
                               for j in range(n)] for i in range(n)], cols=n)
     x = scale * form.congruence.to_ring(LAURENT)
     seifert, e = from_seifert(data), [basis_vector(n, i) for i in range(n)]
-    agree = all(seifert.value(e[i], e[j]) == form.pairing_value(x.column(i), x.column(j))
+    mk = form.to_presented_pairing()
+    agree = all(seifert.value(e[i], e[j]) == mk.value(x.column(i), x.column(j))
                 for i in range(n) for j in range(n))
     image = x * data.presentation
-    mk = form.to_presented_pairing()
     killed = all(mk.is_zero_element(image.column(j)) for j in range(n))
     return agree, killed
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from blanchfield.catalog import builtin_catalog, random_seifert
+from blanchfield.catalog import builtin, builtin_catalog, random_seifert
 from blanchfield.laurent import LaurentPoly, T
 from blanchfield.matrix import LAURENT, ZZ, Matrix
 from blanchfield.mkform import mk_matrix
@@ -238,7 +238,7 @@ def test_seifert_and_mk_pairings_carry_the_presentation_adjugate():
     for genus, seed in [(1, 5), (2, 6), (2, 7), (3, 8)]:
         data = random_seifert(genus, 3, seed)
         for b in (from_seifert(data), mk_matrix(data).to_presented_pairing()):
-            assert b._adjugate == b.presentation.adjugate()
+            assert b.data.adjugate == b.presentation.adjugate()
 
 
 def test_fibred_pairing_from_one_elimination():
@@ -247,7 +247,7 @@ def test_fibred_pairing_from_one_elimination():
     p = TREFOIL_FIBRED.monodromy
     for _ in range(4):
         b = from_fibred(FibredData(p, TREFOIL_FIBRED.intersection))
-        assert b._adjugate == b.presentation.adjugate()
+        assert b.data.adjugate == b.presentation.adjugate()
         direct, det = (tinv * p.to_ring(LAURENT) - Matrix.identity(LAURENT, 2)).adjugate()
         assert b._numer == TREFOIL_FIBRED.intersection.to_ring(LAURENT) * direct
         assert b._denom == det
@@ -331,3 +331,56 @@ def test_integer_built_presentation_matches_laurent_arithmetic(data):
     assert all(type(c) is int for row in data.presentation.entries
                for e in row for c in e.coeffs)
     assert data.adjugate == expected.adjugate()
+
+
+@pytest.mark.parametrize("data", [TREFOIL, TREFOIL_FIBRED, builtin("trefoil-dual").data()],
+                         ids=lambda d: type(d).__name__)
+def test_data_objects_are_immutable_records(data):
+    twin = type(data)(*[getattr(data, f) for f in data._fields])
+    assert twin == data and twin is not data and hash(twin) == hash(data)
+    twin.adjugate  # the cached elimination stays out of equality
+    assert twin == data and data != FIG8
+    for field in data._fields:
+        with pytest.raises(AttributeError):
+            setattr(data, field, getattr(data, field))
+
+
+# trefoil, figure-eight and 8 random Seifert matrices with det A = +-1
+UNIMODULAR_CORPUS = [TREFOIL, FIG8] + [random_seifert(g, 1, s) for g, s in (
+    (1, 1), (1, 2), (2, 1), (2, 20), (2, 21), (2, 25), (3, 19), (3, 32))]
+
+
+def _fibred_checks(data, x_is_inverse=True, negate_j=False):
+    """(values agree, presentation killed) for the fibred data
+    P = A^-T A, J = A - A^T of a unimodular Seifert matrix A and the
+    coordinate change X = A^-1 (or id)."""
+    a, n = data.matrix, data.size
+    adj, det = a.adjugate()
+    inverse = det * adj
+    j = a - a.transpose()
+    fibred = from_fibred(FibredData(inverse.transpose() * a, -j if negate_j else j))
+    x = (inverse if x_is_inverse else Matrix.identity(ZZ, n)).to_ring(LAURENT)
+    seifert, e = from_seifert(data), [basis_vector(n, i) for i in range(n)]
+    agree = all(seifert.value(e[i], e[j]) == fibred.value(x.column(i), x.column(j))
+                for i in range(n) for j in range(n))
+    image = x * data.presentation
+    killed = all(fibred.is_zero_element(image.column(j)) for j in range(n))
+    return agree, killed
+
+
+def test_fibred_formula_carries_the_seifert_formula():
+    # for det A = +-1, tP - id = A^-T (tA - A^T): X = A^-1 maps the module
+    # Lambda^2g / (tA - A^T) onto Lambda^2g / (tP - id) and carries the
+    # Seifert pairing to the fibred pairing of (A^-T A, A - A^T)
+    assert len(UNIMODULAR_CORPUS) == 10
+    for data in UNIMODULAR_CORPUS:
+        assert data.matrix.det() in (1, -1)
+        assert _fibred_checks(data) == (True, True), data
+
+
+def test_fibred_formula_negative_controls():
+    # X = id breaks both checks, and J = A^T - A breaks the values, on all 10
+    no_change = [_fibred_checks(d, x_is_inverse=False) for d in UNIMODULAR_CORPUS]
+    assert not any(agree or killed for agree, killed in no_change)
+    negated = [_fibred_checks(d, negate_j=True) for d in UNIMODULAR_CORPUS]
+    assert not any(agree for agree, _ in negated)
