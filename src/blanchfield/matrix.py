@@ -10,15 +10,27 @@ Over Z[t,t^-1] the elimination runs on integers (Kronecker
 substitution): each row is shifted by a power of t to a polynomial row,
 each entry is packed as its value at t = 2^B, the integer matrix is
 eliminated, and each result is read back as its signed base-2^B digits
-with the shifts undone.  B is the bit length of the product of the row
-coefficient 1-norms of [M | I], plus 2.  Every entry Bareiss forms is a
-minor of [M | I], with coefficients below 2^(B-2), so it vanishes at
-2^B only if it is zero and its digits give it back: the integer run
-makes the same pivot choices and row swaps, raises SingularMatrixError
-at the same column, and returns the same (adj, det) as Bareiss over
-Z[t,t^-1].  B grows like n log(n (d + 1) max|coefficient|) for an
-n x n matrix whose rows span d + 1 powers of t, and the integers have at
-most about (n d + 1) B bits, so the cost stays polynomial in the input.
+with the shifts undone.  B is the bit length of Hadamard's bound
+H = ceil(sqrt(prod_i (1 + sum_j |m_ij|^2))), plus 2, with |p| the
+coefficient 1-norm of p and m the shifted M.  Every entry Bareiss forms
+is a minor of [m | I], and H bounds its coefficients (Goldstein &
+Graham 1974): a coefficient of a polynomial p is the mean of p(t) t^-k
+over |t| = 1, so it is at most the maximum of |p| there; at each such t
+the minor is the determinant of a submatrix of the complex matrix
+[m(t) | I], which Hadamard's inequality bounds by the product of its
+rows' 2-norms; each is at most the norm of the whole row i of
+[m(t) | I], sqrt(1 + sum_j |m_ij(t)|^2) <= sqrt(1 + sum_j |m_ij|^2),
+and the rows the minor leaves out have norm at least 1.  So every
+coefficient is below 2^(B-2), an entry vanishes at 2^B only if it is
+zero, and its digits give it back: the integer run makes the same pivot
+choices and row swaps, raises SingularMatrixError at the same column,
+and returns the same (adj, det) as Bareiss over Z[t,t^-1].  As
+1 + sum x_j^2 <= (1 + sum x_j)^2, H never exceeds the product of the
+row 1-norms prod_i (1 + sum_j |m_ij|), and is near its square root when
+a row has many entries of like size.  B grows like
+n log(sqrt(n) (d + 1) max|coefficient|) for an n x n matrix whose rows
+span d + 1 powers of t, and the integers have at most about (n d + 1) B
+bits, so the cost stays polynomial in the input.
 
 Every product of a Laurent matrix with a Laurent vector, m w for
 Matrix.mul_vec and Matrix * Matrix (one column at a time) and the
@@ -37,11 +49,15 @@ rows.  Each row is shifted by a power of t and packed lazily, once per
 width, in a memo on the matrix.  One pass over each vector reads its
 support, 1-norm and shift, each row's shift and largest norm are looked
 up once per call, and a w with one nonzero entry (a basis vector) costs
-one product per row instead of a sum.  For an n x n matrix whose rows
-span d + 1 powers of t, v^T m w costs at most n^2 + n products of
-integers of about (d + 1) B bits and one read-back, with B about
-log2 X: polynomial in the input, and big-integer operations in place of
-n^2 Laurent products.
+one product per row instead of a sum.  When v and w each have one
+nonzero entry, v_i and w_j, as for the value on a pair of generators
+(e_i, e_j), v^T m w is the single Laurent product v_i m_ij w_j, formed
+with no packing at all; a factor c t^k, such as a generator's 1, scales
+and shifts the other.  Otherwise, for an n x n matrix whose rows span
+d + 1 powers of t, v^T m w costs at most n^2 + n products of integers of
+about (d + 1) B bits and one read-back, with B about log2 X: polynomial
+in the input, and big-integer operations in place of n^2 Laurent
+products.
 """
 
 from __future__ import annotations
@@ -95,6 +111,9 @@ class Ring(Record):
 
     def __init__(self, name: str, zero, one, from_int: Callable, exact_div: Callable):
         super().__init__(name, zero, one, from_int, exact_div)
+
+    def __repr__(self) -> str:
+        return f"Ring({self.name!r})"
 
 
 def _int_exact_div(a: int, b: int) -> int:
@@ -216,8 +235,9 @@ class Matrix(Record):
 
         Over Z[t,t^-1] it eliminates the integer matrix M(2^B), rows
         shifted to polynomials, with B as in the module docstring: every
-        minor of [M | I] has coefficients below 2^(B-2), so the integer
-        run is exact, and B grows like n log(n max|coefficient|).
+        minor of [M | I] has coefficients below 2^(B-2) by Hadamard's
+        inequality on |t| = 1, so the integer run is exact, and B grows
+        like n log(sqrt(n) max|coefficient|).
 
         The trefoil's presentation matrix tA - A^T:
 
@@ -287,6 +307,9 @@ class Matrix(Record):
                          for row in self.entries)
         return f"[{body}]"
 
+    def __repr__(self) -> str:
+        return f"Matrix({self})"
+
 
 def _kronecker_eliminate(m: Matrix, jordan: bool) -> tuple[list[list], LaurentPoly]:
     """Matrix._eliminate over Z[t,t^-1] through one integer elimination.
@@ -295,13 +318,20 @@ def _kronecker_eliminate(m: Matrix, jordan: bool) -> tuple[list[list], LaurentPo
     det(DM) = t^S det(M) undo the row shifts.
     """
     shifts = [_shift(row) for row in m.entries]
-    bits = math.prod(1 + sum(map(_norm, row)) for row in m.entries).bit_length() + 2
+    bits = _elimination_width(m)
     packed = Matrix(ZZ, [[_pack(e, s, bits) for e in row]
                          for row, s in zip(m.entries, shifts)], cols=m.cols)
     adj, d = packed._eliminate(jordan)
     total = sum(shifts)
     return ([[_unpack(x, bits, s - total) for x, s in zip(row, shifts)] for row in adj],
             _unpack(d, bits, -total))
+
+
+def _elimination_width(m: Matrix) -> int:
+    """B for the integer elimination of m: the bit length of the ceiling of
+    sqrt(prod_i (1 + sum_j |m_ij|^2)), |p| the coefficient 1-norm, plus 2."""
+    hadamard = math.prod(1 + sum([_norm(e) ** 2 for e in row]) for row in m.entries)
+    return (math.isqrt(hadamard - 1) + 1).bit_length() + 2
 
 
 def _pack(e: LaurentPoly, shift: int, bits: int) -> int:
@@ -331,10 +361,15 @@ def _kronecker_apply(m: Matrix, w: Sequence, v: Sequence | None = None):
     vars(m)["_packed"] keeps each row's shift and largest entry 1-norm
     under its index i, looked up once per call, and the row packed at
     width B under (i, B), so each row is packed once per width.  When w
-    has one nonzero entry, each row contributes one product, not a sum.
+    has one nonzero entry, each row contributes one product, not a sum;
+    when v has one too, the result is the Laurent product v_i m_ij w_j,
+    and nothing is packed or read back.
     """
     cols, w_norm, w_shift = _support(w)
     rows, v_norm, v_shift = (range(m.rows), 1, 0) if v is None else _support(v)
+    if v is not None and len(rows) == len(cols) == 1:  # a generator pair: no packing
+        (i,), (j,) = rows, cols
+        return _times(_times(v[i], m.entries[i][j]), w[j])
     memo = vars(m).setdefault("_packed", {})
     shifts, top_norm = [], 0
     for i in rows:
@@ -361,6 +396,16 @@ def _kronecker_apply(m: Matrix, w: Sequence, v: Sequence | None = None):
     total = sum([_pack(v[i], v_shift + top - s, bits) * x
                  for i, s, x in zip(rows, shifts, sums)])
     return _unpack(total, bits, -v_shift - top - w_shift)
+
+
+def _times(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a b, as a scaled shift of the other factor when one is a monomial c t^k."""
+    if len(a.coeffs) > len(b.coeffs):
+        a, b = b, a
+    if len(a.coeffs) != 1:
+        return a * b if a.coeffs else a
+    (c,) = a.coeffs
+    return LaurentPoly._of(a.val + b.val, b.coeffs if c == 1 else [c * x for x in b.coeffs])
 
 
 def _support(vec: Sequence) -> tuple[list[int], int, int]:

@@ -5,9 +5,10 @@ denominator d, and the value of (v, w) is the Q(t)/Z[t,t^-1] class of
 v^T N conj(w) / d.  The numerator is one packed integer dot product
 (matrix._kronecker_apply): N's rows in v's support, packed at t = 2^B
 once per width, against conj(w) packed the same way, read back as one
-Laurent polynomial; for basis vectors v and w that is two products of
-packed integers.  The three sources of input data differ only in N and
-d:
+Laurent polynomial.  When v and w each have one nonzero entry, v_i and
+w_j, the numerator is the Laurent product v_i N_ij conj(w_j), with no
+packing; on a pair of generators (e_i, e_j) it is the entry N_ij
+itself.  The three sources of input data differ only in N and d:
 
   * a Seifert matrix A of a knot presents Lambda^2g / P with
     P = tA - A^T; the pairing (t-1)(A - tA^T)^{-1} is (1-t) adj(P)^T
@@ -27,7 +28,9 @@ and every pairing, check and witness built from the same data object
 reads them.  Each presentation is linear in t, so each entry
 t^s (c0 + c1 t) is written from two integers with no Laurent arithmetic:
 (c0, c1) is (-a_ji, a_ij), (-delta_ij, p_ij) or (-i-_ij, i+_ij), with
-s = 0, 0 or -1.
+s = 0, 0 or -1.  The Seifert numerator (1 - t) adj(P)^T is written the
+same way, each entry from the coefficients c_k of adj(P)_ji as
+c_k - c_(k-1), with no polynomial product.
 
 PresentedPairing(data, N, d) reads the presentation and its elimination
 from the data object (SeifertData, FibredData or mkform.MKForm), so the
@@ -320,7 +323,14 @@ def from_seifert(data: SeifertData) -> PresentedPairing:
     # A - tA^T = -P^T for P = tA - A^T, so (t-1)(A - tA^T)^{-1} is
     # (1-t) adj(P)^T over det P
     adj, det = data.adjugate
-    return PresentedPairing(data, (1 - T) * adj.transpose(), det)
+    return PresentedPairing(data, adj.transpose().map_entries(_one_minus_t), det)
+
+
+def _one_minus_t(e: LaurentPoly) -> LaurentPoly:
+    """(1 - t) e, written in one pass: its coefficient at t^(val+k) is
+    c_k - c_(k-1), with c_(-1) = c_(m+1) = 0 for e = t^val (c_0 + ... + c_m t^m)."""
+    c = e.coeffs
+    return LaurentPoly._of(e.val, [a - b for a, b in zip(c + (0,), (0,) + c)])
 
 
 def from_fibred(data: FibredData) -> PresentedPairing:

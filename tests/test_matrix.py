@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from blanchfield.catalog import builtin, random_seifert
+from blanchfield.catalog import builtin, load_entry, random_seifert
 from blanchfield.laurent import LaurentPoly, T
-from blanchfield.matrix import LAURENT, ZZ, Matrix, Ring, SingularMatrixError, _pack, _unpack
+from blanchfield.matrix import (LAURENT, ZZ, Matrix, Ring, SingularMatrixError,
+                               _elimination_width, _pack, _unpack)
 from blanchfield.ratfunc import RationalFunction as RF
 
 
@@ -278,12 +279,15 @@ def test_integer_elimination_matches_sympy_oracle():
 
 
 def _packing_width(m):
-    """The width B the integer path packs m with: bit length of the product
-    of the row coefficient 1-norms of [m | I], plus 2."""
+    """The width B the integer path packs m with: bit length of the ceiling
+    of Hadamard's bound sqrt(prod_i (1 + sum_j |m_ij|^2)) on the minors of
+    [m | I], |p| the coefficient 1-norm, plus 2."""
     bound = 1
     for row in m.entries:
-        bound *= 1 + sum(abs(c) for e in row for c in e.coeffs)
-    return bound.bit_length() + 2
+        bound *= 1 + sum(sum(abs(c) for c in e.coeffs) ** 2 for e in row)
+    root = math.isqrt(bound)
+    root += root * root < bound
+    return root.bit_length() + 2
 
 
 def test_extremal_minors_reach_the_packing_bound():
@@ -299,6 +303,7 @@ def test_extremal_minors_reach_the_packing_bound():
     kronecker, reference = _eliminations(m)
     assert kronecker == reference
     bits = _packing_width(m)
+    assert bits == _elimination_width(m)
     _, det = kronecker
     assert det.is_unit_multiple_of(LaurentPoly.const(b ** 6))
     # det's coefficient needs bits - 1 bits as a signed digit: the width
@@ -323,6 +328,16 @@ def test_pack_unpack_round_trip_at_the_digit_limit():
 
 
 # --- value semantics of the records -----------------------------------------
+
+def test_record_reprs_are_short_and_carry_no_address():
+    # a Record repr spells out its fields: a ring by its name, a matrix by
+    # its rows, never a function object with its per-run memory address
+    data = load_entry("name: empty\nkind: fibred\nP: []\nJ: []\n").data()
+    assert repr(data) == "FibredData(monodromy=Matrix([]), intersection=Matrix([]))"
+    assert "0x" not in repr(data) and len(repr(data)) < 80
+    assert (repr(ZZ), repr(LAURENT)) == ("Ring('Z')", "Ring('Z[t,t^-1]')")
+    assert repr(laurent_matrix([[T, -1], [0, 2]])) == "Matrix([[t, -1], [0, 2]])"
+
 
 def test_records_are_immutable_values():
     from blanchfield.catalog import CatalogEntry

@@ -118,6 +118,33 @@ def test_pairing_values_match_schoolbook():
                 assert _sesquilinear(numer, v, w) == schoolbook_form(numer, v, w)
 
 
+def _one_entry(rng, n, entry):
+    i = rng.randrange(n)
+    return tuple(entry if j == i else ZERO for j in range(n))
+
+
+def test_generator_pairs_match_schoolbook():
+    # v and w with one nonzero entry each take the kernel's Laurent branch:
+    # units +-t^k, monomials c t^k (some with negative valuations) and
+    # multi-term entries, against matrices with zero, monomial and
+    # multi-term entries
+    rng = random.Random(17)
+    entries = [LaurentPoly.t_power(k, s) for k in (-3, 0, 2) for s in (1, -1)]
+    entries += [LaurentPoly.t_power(-5, 7), LaurentPoly.t_power(4, -10 ** 20),
+                LaurentPoly(-2, (3, 0, -1)), LaurentPoly(1, (10 ** 15, 2, -5))]
+    for bound in (1, 10 ** 9):
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            m = _matrix(rng, n, n, bound)
+            for a in entries:
+                for b in entries:
+                    v, w = _one_entry(rng, n, a), _one_entry(rng, n, b)
+                    assert _sesquilinear(m, v, w) == schoolbook_form(m, v, w)
+            assert "_packed" not in vars(m)  # no generator pair packs a row
+            zero = (ZERO,) * n
+            assert _sesquilinear(m, zero, w) == _sesquilinear(m, v, zero) == ZERO
+
+
 def _monomials(total, vals):
     """Monomials t^val with positive coefficients summing to total, one per
     val (zeros when total is too small to share out)."""

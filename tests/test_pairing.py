@@ -1,15 +1,16 @@
+import math
 import random
 
 import pytest
 
 from blanchfield.catalog import builtin, builtin_catalog, random_seifert
 from blanchfield.laurent import LaurentPoly, T
-from blanchfield.matrix import LAURENT, ZZ, Matrix
+from blanchfield.matrix import LAURENT, ZZ, Matrix, _elimination_width
 from blanchfield.mkform import mk_matrix
 from blanchfield.pairing import (DualSurfaceData, FibredData, InvariantViolation,
-                                 SeifertData, as_laurent_vector, basis_vector,
-                                 from_dual_surface, from_fibred, from_seifert,
-                                 kearton_value, stabilize)
+                                 SeifertData, _one_minus_t, as_laurent_vector,
+                                 basis_vector, from_dual_surface, from_fibred,
+                                 from_seifert, kearton_value, stabilize)
 from blanchfield.qmod import canonical_class
 from blanchfield.ratfunc import RationalFunction as RF
 from blanchfield.verify import random_vector
@@ -331,6 +332,31 @@ def test_integer_built_presentation_matches_laurent_arithmetic(data):
     assert all(type(c) is int for row in data.presentation.entries
                for e in row for c in e.coeffs)
     assert data.adjugate == expected.adjugate()
+
+
+@pytest.mark.parametrize("data", _presentation_cases(), ids=lambda d: type(d).__name__)
+def test_numerator_is_written_from_coefficients(data):
+    # (1 - t) e from the coefficients c_k - c_(k-1) of e, against Laurent
+    # arithmetic, on every adjugate; from_seifert reads it as N = (1 - t) adj^T
+    adj, _ = data.adjugate
+    expected = (1 - T) * adj.transpose()
+    assert adj.transpose().map_entries(_one_minus_t) == expected
+    if isinstance(data, SeifertData):
+        assert from_seifert(data).form[0] == expected
+
+
+@pytest.mark.parametrize("data", _presentation_cases(), ids=lambda d: type(d).__name__)
+def test_hadamard_width_bounds_the_elimination(data):
+    # every adj and det coefficient lies below 2^(B-2) at the Hadamard width
+    # B, which is never above the width of the product of row 1-norms
+    p = data.presentation
+    bits = _elimination_width(p)
+    old = math.prod(1 + sum(sum(map(abs, e.coeffs)) for e in row)
+                    for row in p.entries).bit_length() + 2
+    assert bits <= old
+    adj, det = data.adjugate
+    for e in [det, *(e for row in adj.entries for e in row)]:
+        assert all(abs(c) < 2 ** (bits - 2) for c in e.coeffs)
 
 
 @pytest.mark.parametrize("data", [TREFOIL, TREFOIL_FIBRED, builtin("trefoil-dual").data()],
