@@ -27,7 +27,7 @@ pairing is a PresentedPairing over that elimination.
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, T
+from .laurent import LaurentPoly
 from .matrix import LAURENT, ZZ, Matrix
 from .pairing import PresentedPairing, SeifertData, _PresentedData
 
@@ -178,16 +178,16 @@ def mk_matrix(data: SeifertData) -> MKForm:
     k = n // 2
     congruence = symplectic_normalize(data.matrix - data.matrix.transpose())
     a = congruence * data.matrix * congruence.transpose()
-    tinv = T.conjugate()
 
     def entry(i: int, j: int) -> LaurentPoly:
+        # each block formula as t^val (c0 + c1 t + c2 t^2), from its integers
         if i < k and j < k:
-            return LaurentPoly.const(a[i, j])
+            return LaurentPoly._of(0, (a[i, j],))
         if i < k:
-            return a[j, i] - T * a[i, j]
+            return LaurentPoly._of(0, (a[j, i], -a[i, j]))
         if j < k:
-            return a[i, j] - tinv * a[j, i]
-        return (1 - T) * a[i, j] + (1 - tinv) * a[j, i]
+            return LaurentPoly._of(-1, (-a[j, i], a[i, j]))
+        return LaurentPoly._of(-1, (-a[j, i], a[i, j] + a[j, i], -a[i, j]))
 
     mk = Matrix(LAURENT, [[entry(i, j) for j in range(n)] for i in range(n)],
                 cols=n)

@@ -34,9 +34,10 @@ c_k - c_(k-1), with no polynomial product.
 
 PresentedPairing(data, N, d) reads the presentation and its elimination
 from the data object (SeifertData, FibredData or mkform.MKForm), so the
-two cannot disagree; DualSurfaceEvaluator shares its (N, d) form and
-value but not its membership test, as its N is not well-defined modulo
-the presentation in these coordinates.
+two cannot disagree, and each data object keeps its (N, d) once built;
+DualSurfaceEvaluator shares its (N, d) form and value but not its
+membership test, as its N is not well-defined modulo the presentation
+in these coordinates.
 
 For a Seifert matrix A with det A = +-1 the two theorems agree: the
 fibred data P = A^-T A, J = A - A^T have tP - id = A^-T (tA - A^T), and
@@ -47,9 +48,9 @@ the fibred one that sends every column of tA - A^T to zero.
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .laurent import LaurentPoly, T, divides
+from .laurent import LaurentPoly, divides
 from .matrix import LAURENT, ZZ, Matrix, Record, SingularMatrixError, _kronecker_apply
 from .qmod import QModLambda
 from .ratfunc import RationalFunction
@@ -322,8 +323,8 @@ def from_seifert(data: SeifertData) -> PresentedPairing:
     """
     # A - tA^T = -P^T for P = tA - A^T, so (t-1)(A - tA^T)^{-1} is
     # (1-t) adj(P)^T over det P
-    adj, det = data.adjugate
-    return PresentedPairing(data, adj.transpose().map_entries(_one_minus_t), det)
+    return _kept_pairing(data, lambda adj, det: (
+        adj.transpose().map_entries(_one_minus_t), det))
 
 
 def _one_minus_t(e: LaurentPoly) -> LaurentPoly:
@@ -339,9 +340,16 @@ def from_fibred(data: FibredData) -> PresentedPairing:
     Module Lambda^k/(tP - id); pairing (v, w) -> v^T J (t^{-1}P - id)^{-1} conj(w).
     """
     # adj(t^-1 P - id) is the conjugate of adj(tP - id)
-    adj, det = data.adjugate
-    return PresentedPairing(data, data.intersection.to_ring(LAURENT) * adj.conjugate(),
-                            det.conjugate())
+    return _kept_pairing(data, lambda adj, det: (
+        data.intersection.to_ring(LAURENT) * adj.conjugate(), det.conjugate()))
+
+
+def _kept_pairing(data: _PresentedData, form: Callable) -> PresentedPairing:
+    """PresentedPairing(data, *form(adj, det)), the form kept on data like adj, det."""
+    kept = vars(data).get("_form")
+    if kept is None:
+        kept = vars(data)["_form"] = form(*data.adjugate)
+    return PresentedPairing(data, *kept)
 
 
 class DualSurfaceEvaluator(_PairingForm):
@@ -376,14 +384,9 @@ def kearton_value(data: SeifertData, v: Sequence, w: Sequence) -> RationalFuncti
     the value by something outside Z[t,t^-1], which is the point of the
     negative well-definedness test.
     """
-    numer, denom = kearton_form(data)
-    return RationalFunction(_sesquilinear(numer, v, w), denom)
-
-
-def kearton_form(data: SeifertData) -> tuple[Matrix, LaurentPoly]:
-    """(t-1) adj(tA - A^T) over det(tA - A^T): the matrix of kearton_value."""
-    adj, denom = data.adjugate
-    return (T - 1) * adj, denom
+    # (t-1) adj(tA - A^T) over det is -N^T / d for the N / d of from_seifert
+    numer, denom = from_seifert(data).form
+    return RationalFunction(-_sesquilinear(numer.transpose(), v, w), denom)
 
 
 def stabilize(data: SeifertData, row: Sequence[int], kind: str) -> SeifertData:

@@ -1,14 +1,16 @@
 """Executable property checks for presented pairings.
 
-Well-definedness, sesquilinearity, hermitian symmetry, nonsingularity
-and consistency run seeded random trials through one loop, which calls
-a module of rank 0 vacuous rather than count trials that drew nothing;
-mk-form, kearton-ill-defined and fibred-specialization are exact, with
-no random draws: mk-form compares the signatures of M_K with the
-Levine-Tristram signatures on every arc of the unit circle.  Each check
-reports pass/fail with a replayable counterexample (entry grammar plus
-vectors in the CLI's comma-separated Laurent format).  The CLI
-``verify`` command prints the reports; the test suite asserts them.
+Well-definedness, sesquilinearity, hermitian symmetry and nonsingularity
+run seeded random trials through one loop, which calls a module of rank
+0 vacuous rather than count trials that drew nothing.  The other checks
+are exact, with no random draws: consistency and fibred-specialization
+compare the dual-surface form with the Seifert or fibred form on every
+generator pair, which covers all vectors as both are matrix forms, and
+mk-form compares the signatures of M_K with the Levine-Tristram
+signatures on every arc of the unit circle.  Each check reports
+pass/fail with a replayable counterexample (entry grammar plus vectors
+in the CLI's comma-separated Laurent format).  The CLI ``verify``
+command prints the reports; the test suite asserts them.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .matrix import LAURENT, ZZ, Matrix, Record
 from .mkform import mk_matrix
 from .pairing import (DualSurfaceData, DualSurfaceEvaluator, FibredData,
                       PresentedPairing, SeifertData, basis_vector,
-                      from_dual_surface, from_fibred, from_seifert,
-                      kearton_form)
+                      from_dual_surface, from_fibred, from_seifert)
+from .qmod import QModLambda
 
 
 class CheckResult(Record):
@@ -146,25 +148,32 @@ def check_nonsingular(pairing: PresentedPairing, entry: CatalogEntry,
     return _trials("nonsingularity", entry, n, trials, trial)
 
 
-def check_consistency(data: SeifertData, entry: CatalogEntry,
-                      rng: random.Random, trials: int) -> CheckResult:
-    """Dual-surface formula with (A, A^T, A - A^T) matches the Seifert formula.
+def _agree_on_generators(name: str, entry: CatalogEntry, dual: DualSurfaceData,
+                         pairing: PresentedPairing, x: Matrix) -> CheckResult:
+    """Does the dual-surface form N_d / d_d of dual equal x^T N x / d, which is
+    (xv)^T N conj(xw) / d for the form N / d of pairing, as x is integral?  Both
+    are matrix forms: agreeing on every generator pair, they agree on all vectors."""
+    n = dual.size
+    dual_numer, dual_denom = from_dual_surface(dual).form
+    numer, denom = pairing.form
+    x = x.to_ring(LAURENT)
+    moved = x.transpose() * numer * x
+    for i, j in itertools.product(range(n), repeat=2):
+        if QModLambda._pair(dual_numer[i, j], dual_denom) != \
+                QModLambda._pair(moved[i, j], denom):
+            return CheckResult(name, False, f"generator pair ({i + 1},{j + 1}) differs",
+                               _counterexample(entry, v=basis_vector(n, i),
+                                               w=basis_vector(n, j)))
+    return CheckResult(name, True, f"{n * n} generator pairs" if n else "vacuous for genus 0")
 
-    The dual-surface evaluator applied to (v, w) must equal the class of
-    (Av)^T (t-1)(A - tA^T)^{-1} conj(Aw).
-    """
-    n = data.size
-    dual = from_dual_surface(DualSurfaceData(
-        data.matrix, data.matrix.transpose(),
-        data.matrix - data.matrix.transpose()))
-    seifert = from_seifert(data)
-    a = data.matrix.to_ring(LAURENT)
 
-    def trial(_):
-        v, w = random_vector(rng, n), random_vector(rng, n)
-        if dual.value(v, w) != seifert.value(a.mul_vec(v), a.mul_vec(w)):
-            return "dual-surface and Seifert formulas disagree", dict(v=v, w=w)
-    return _trials("consistency", entry, n, trials, trial)
+def check_consistency(data: SeifertData, entry: CatalogEntry) -> CheckResult:
+    """Dual-surface formula with (A, A^T, A - A^T) matches the Seifert formula:
+    its value of (v, w) is (Av)^T (t-1)(A - tA^T)^{-1} conj(Aw), for all v, w."""
+    a = data.matrix
+    return _agree_on_generators("consistency", entry,
+                                DualSurfaceData(a, a.transpose(), a - a.transpose()),
+                                from_seifert(data), a)
 
 
 def kearton_witness(data: SeifertData) -> tuple[tuple[int, ...], int] | None:
@@ -179,13 +188,13 @@ def kearton_witness(data: SeifertData) -> tuple[tuple[int, ...], int] | None:
     matrix, or None when det(tA - A^T) divides every entry of it.
     """
     n = data.size
-    numer, denom = kearton_form(data)
-    # entry (j, i) is the change of the formula at x = e_i, w = e_j
-    change = numer.transpose() * data.presentation
-    for i in range(n):
-        for j in range(n):
-            if not divides(denom, change[j, i]):
-                return tuple(int(r == i) for r in range(n)), j
+    numer, denom = from_seifert(data).form
+    # (t-1) adj(tA - A^T) is -N^T, so the change at x = e_i, w = e_j is
+    # -(N (tA - A^T))_ji; the sign does not affect divisibility
+    change = numer * data.presentation
+    for i, j in itertools.product(range(n), repeat=2):
+        if not divides(denom, change[j, i]):
+            return tuple(int(r == i) for r in range(n)), j
     return None
 
 
@@ -233,20 +242,11 @@ def check_mk(data: SeifertData, entry: CatalogEntry) -> CheckResult:
 
 
 def check_fibred_specialization(data: FibredData, entry: CatalogEntry) -> CheckResult:
-    """Dual-surface evaluator with (P, id, J) matches the fibred pairing
-    on all generator pairs."""
-    n = data.size
-    pairing = from_fibred(data)
-    dual = from_dual_surface(DualSurfaceData(
-        data.monodromy, Matrix.identity(ZZ, n), data.intersection))
-    for i in range(n):
-        for j in range(n):
-            ei, ej = basis_vector(n, i), basis_vector(n, j)
-            if dual.value(ei, ej) != pairing.value(ei, ej):
-                return CheckResult("fibred-specialization", False,
-                                   f"generator pair ({i + 1},{j + 1}) differs",
-                                   _counterexample(entry))
-    return CheckResult("fibred-specialization", True, f"{n * n} generator pairs")
+    """Dual-surface formula with (P, id, J) matches the fibred pairing."""
+    eye = Matrix.identity(ZZ, data.size)
+    return _agree_on_generators("fibred-specialization", entry,
+                                DualSurfaceData(data.monodromy, eye, data.intersection),
+                                from_fibred(data), eye)
 
 
 def verify_entry(entry: CatalogEntry, trials: int = 25,
@@ -258,17 +258,14 @@ def verify_entry(entry: CatalogEntry, trials: int = 25,
     data = entry.data()
     if isinstance(data, DualSurfaceData):
         return [check_sesquilinear(from_dual_surface(data), entry, rng, trials)]
-    pairing = from_seifert(data) if isinstance(data, SeifertData) else from_fibred(data)
-    results = [check(pairing, entry, rng, trials)
-               for check in (check_well_defined, check_sesquilinear,
-                             check_hermitian, check_nonsingular)]
     if isinstance(data, SeifertData):
-        results.append(check_consistency(data, entry, rng, trials))
-        results.append(check_mk(data, entry))
-        results.append(check_kearton(data, entry))
+        pairing, exact = from_seifert(data), (check_consistency, check_mk, check_kearton)
     else:
-        results.append(check_fibred_specialization(data, entry))
-    return results
+        pairing, exact = from_fibred(data), (check_fibred_specialization,)
+    return [check(pairing, entry, rng, trials)
+            for check in (check_well_defined, check_sesquilinear,
+                          check_hermitian, check_nonsingular)] + \
+        [check(data, entry) for check in exact]
 
 
 def verify_random(genus: int, count: int, trials: int = 5,

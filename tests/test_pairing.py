@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -242,6 +243,18 @@ def test_seifert_and_mk_pairings_carry_the_presentation_adjugate():
             assert b.data.adjugate == b.presentation.adjugate()
 
 
+def test_pairing_forms_are_built_once_per_data_object():
+    # verify's checks and the Kearton control read the one (N, d) kept on
+    # the data; an equal but distinct data object builds its own
+    for data, build in [(random_seifert(2, 3, 4), from_seifert),
+                        (TREFOIL_FIBRED, from_fibred)]:
+        numer, denom = build(data).form
+        assert build(data).form[0] is numer and build(data).data is data
+        twin = type(data)(*[getattr(data, f) for f in data._fields])
+        assert twin == data and build(twin).form[0] is not numer
+        assert build(twin).form == (numer, denom)
+
+
 def test_fibred_pairing_from_one_elimination():
     # adj(t^-1 P - id) is taken as the conjugate of adj(tP - id)
     tinv = T.conjugate()
@@ -338,11 +351,16 @@ def test_integer_built_presentation_matches_laurent_arithmetic(data):
 def test_numerator_is_written_from_coefficients(data):
     # (1 - t) e from the coefficients c_k - c_(k-1) of e, against Laurent
     # arithmetic, on every adjugate; from_seifert reads it as N = (1 - t) adj^T
-    adj, _ = data.adjugate
+    adj, det = data.adjugate
     expected = (1 - T) * adj.transpose()
     assert adj.transpose().map_entries(_one_minus_t) == expected
     if isinstance(data, SeifertData):
         assert from_seifert(data).form[0] == expected
+        # the classical (t - 1) adj over det, read off N as -N^T
+        n = data.size
+        for i, j in itertools.product(range(n), repeat=2):
+            assert kearton_value(data, basis_vector(n, i), basis_vector(n, j)) == \
+                RF((T - 1) * adj[i, j], det)
 
 
 @pytest.mark.parametrize("data", _presentation_cases(), ids=lambda d: type(d).__name__)

@@ -6,12 +6,13 @@ import pytest
 from blanchfield.catalog import _entry, builtin, load_entry, random_seifert, render_entry
 from blanchfield.laurent import LaurentPoly, T
 from blanchfield.matrix import LAURENT, ZZ, Matrix
-from blanchfield.pairing import (SeifertData, as_laurent_vector, basis_vector,
-                                 from_seifert, kearton_value, stabilize)
-from blanchfield.verify import (check_consistency, check_fibred_specialization,
-                                check_hermitian, check_kearton, check_mk,
-                                check_nonsingular, check_sesquilinear,
-                                check_well_defined, kearton_witness, random_laurent,
+from blanchfield.pairing import (DualSurfaceData, SeifertData, as_laurent_vector,
+                                 basis_vector, from_seifert, kearton_value, stabilize)
+from blanchfield.verify import (_agree_on_generators, check_consistency,
+                                check_fibred_specialization, check_hermitian,
+                                check_kearton, check_mk, check_nonsingular,
+                                check_sesquilinear, check_well_defined,
+                                kearton_witness, random_laurent,
                                 seifert_entry, verify_entry, verify_random)
 
 TREFOIL = SeifertData(Matrix.from_int_rows(ZZ, [[-1, 1], [0, -1]]))
@@ -31,7 +32,8 @@ def test_genus_zero_trial_checks_say_vacuous(entry):
     # a module of rank 0 has no vectors to draw: the trial checks must not
     # claim trials they never ran
     results = {r.name: r for r in verify_entry(entry, trials=25, seed=0)}
-    for name in ("well-definedness", "sesquilinearity", "hermitian", "nonsingularity"):
+    cross = "consistency" if entry.kind == "seifert" else "fibred-specialization"
+    for name in ("well-definedness", "sesquilinearity", "hermitian", "nonsingularity", cross):
         assert results[name].line() == f"{name}: PASS (vacuous for genus 0)"
 
 
@@ -130,12 +132,60 @@ def test_cross_denominator_checks_fail_on_broken_evaluators(monkeypatch, swap):
     fibred = builtin("trefoil-fibred")
     entry = seifert_entry(TREFOIL)
     for result, text in (
-            (check_consistency(TREFOIL, entry, random.Random(0), trials=20),
-             render_entry(entry)),
+            (check_consistency(TREFOIL, entry), render_entry(entry)),
             (check_fibred_specialization(fibred.data(), fibred), render_entry(fibred))):
         assert not result.passed
         assert result.line().startswith(f"{result.name}: FAIL")
         assert result.counterexample.startswith(text)
+
+
+def _nontrivial_corpus():
+    # random Seifert matrices whose Alexander module is nontrivial
+    cases = [random_seifert(genus, bound, seed) for genus in (1, 2, 3)
+             for bound in (1, 3) for seed in range(4)]
+    return [d for d in cases if not d.adjugate[1].is_unit()]
+
+
+def test_consistency_fails_on_wrong_transports():
+    # negative controls: the dual-surface value of (v, w) is the Seifert value
+    # of (Av, Aw), not of (v, w), (2Av, 2Aw) or ((A + id)v, (A + id)w).
+    # A^T and -A are right as well: A^T v = tAv modulo tA - A^T, and the
+    # factors t conj(t) and (-1)(-1) are 1
+    corpus = _nontrivial_corpus()
+    assert len(corpus) >= 10
+    for data in corpus:
+        a = data.matrix
+        eye = Matrix.identity(ZZ, a.rows)
+        entry = seifert_entry(data)
+        dual = DualSurfaceData(a, a.transpose(), a - a.transpose())
+        for x in (a, a.transpose(), -a):
+            assert _agree_on_generators("consistency", entry, dual,
+                                        from_seifert(data), x).passed
+        for x in (eye, a + a, a + eye):
+            result = _agree_on_generators("consistency", entry, dual, from_seifert(data), x)
+            assert not result.passed, (data, x)
+            assert result.counterexample.startswith(render_entry(entry))
+
+
+def test_consistency_fails_on_a_seifert_form_scaled_by_t(monkeypatch):
+    # negative control on the other side of the comparison: N replaced by t N
+    import blanchfield.verify as verify
+    build = verify.from_seifert
+
+    def scaled(data):
+        pairing = build(data)
+        broken = object.__new__(type(pairing))
+        broken.__dict__.update(pairing.__dict__)
+        broken._numer = pairing._numer.map_entries(lambda e: T * e)
+        return broken
+
+    monkeypatch.setattr(verify, "from_seifert", scaled)
+    for data in _nontrivial_corpus():
+        result = check_consistency(data, seifert_entry(data))
+        assert result.line().startswith("consistency: FAIL"), data
+        # the failing pair replays as one-entry vectors after the entry
+        v, w = result.counterexample.splitlines()[-2:]
+        assert v.startswith("v: ") and w.startswith("w: ")
 
 
 def test_verify_random_is_deterministic():
