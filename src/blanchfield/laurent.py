@@ -210,27 +210,30 @@ class LaurentPoly:
         return cls(lo, out)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for exp in range(self.degree(), self.val - 1, -1):
-            c = self.coefficient(exp)
-            if c == 0:
-                continue
-            mag = abs(c)
-            if exp == 0:
-                body = str(mag)
-            else:
-                mon = "t" if exp == 1 else f"t^{exp}"
-                body = mon if mag == 1 else f"{mag}{mon}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append((" + " if c > 0 else " - ") + body)
-        return "".join(parts)
+        return render(self.val, self.coeffs) or "0"
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
+
+
+def render(val: int, coeffs: Sequence) -> str:
+    """t^val (c_0 + c_1 t + ...) for int or Fraction c_k, exponents
+    descending, a non-integral magnitude in parentheses; "" for no terms."""
+    parts: list[str] = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if not c:
+            continue
+        exp, mag = val + i, abs(c)
+        body = str(mag) if mag.denominator == 1 else f"({mag})"
+        if exp:
+            mon = "t" if exp == 1 else f"t^{exp}"
+            body = mon if mag == 1 else body + mon
+        if parts:
+            parts.append((" - " if c < 0 else " + ") + body)
+        else:
+            parts.append("-" + body if c < 0 else body)
+    return "".join(parts)
 
 
 def divides(d: int | LaurentPoly, x: LaurentPoly) -> bool:

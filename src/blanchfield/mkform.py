@@ -21,11 +21,14 @@ to zero in Lambda^2k / M_K(t), and the Seifert value of (e_i, e_j)
 equals the M_K value of (X e_i, X e_j).  The test suite checks both.
 
 MKForm is presented data like SeifertData: an immutable Record whose
-presentation is M_K, with its elimination cached on first use.  Its
-pairing is a PresentedPairing over that elimination.
+presentation is M_K, with its elimination and its pairing form (N, d)
+cached on first use.  to_presented_pairing() wraps that form in a new
+PresentedPairing on each call; the form keeps no pairing.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .laurent import LaurentPoly
 from .matrix import LAURENT, ZZ, Matrix
@@ -123,14 +126,17 @@ def standard_symplectic(k: int) -> Matrix:
 class MKForm(_PresentedData):
     """M_K(t) together with the congruence used to standardize A - A^T.
 
-    An immutable Record whose presentation is M_K.  Raises
-    MKAssemblyError unless M_K is hermitian and nonsingular; the
-    determinant taken for that check is kept.
+    An immutable Record whose presentation is M_K.  Raises ValueError
+    unless M_K is over Z[t,t^-1], and MKAssemblyError unless it is
+    hermitian and nonsingular; the determinant taken for that check is
+    kept.
     """
 
     _fields = ("mk", "congruence")
 
     def __init__(self, mk: Matrix, congruence: Matrix):
+        if mk.ring is not LAURENT:
+            raise ValueError("M_K must be a matrix over Z[t,t^-1]")
         if mk.conjugate_transpose() != mk:
             raise MKAssemblyError("assembled M_K is not hermitian")
         det = mk.det()
@@ -150,17 +156,16 @@ class MKForm(_PresentedData):
     def determinant(self) -> LaurentPoly:
         return self._det
 
+    @functools.cached_property
+    def form(self) -> tuple[Matrix, LaurentPoly]:
+        """(N, d) of the pairing -v^T M_K(t^-1)^{-1} conj(w): adj(M_K(t^-1))
+        and det(M_K(t^-1)) are the conjugates of adj(M_K) and det(M_K)."""
+        adj, det = self.adjugate
+        return -adj.conjugate(), det.conjugate()
+
     def to_presented_pairing(self) -> PresentedPairing:
-        """Module Lambda^2k/M_K(t) with pairing -v^T M_K(t^-1)^{-1} conj(w),
-        built on the first call and shared by later ones."""
-        pairing = vars(self).get("_pairing")
-        if pairing is None:
-            # adj(M_K(t^-1)) and det(M_K(t^-1)) are the conjugates of
-            # adj(M_K) and det(M_K)
-            adj, det = self.adjugate
-            pairing = vars(self)["_pairing"] = PresentedPairing(
-                self, -adj.conjugate(), det.conjugate())
-        return pairing
+        """Module Lambda^2k/M_K(t) with pairing -v^T M_K(t^-1)^{-1} conj(w)."""
+        return PresentedPairing(self)
 
     def __repr__(self) -> str:
         return f"<MKForm 2k={self.size}>"

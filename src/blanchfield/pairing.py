@@ -21,23 +21,25 @@ itself.  The three sources of input data differ only in N and d:
     N = -(adj(i+ - t^{-1} i-) i+)^T J over det(i+ - t^{-1} i-).
 
 SeifertData, FibredData and DualSurfaceData are immutable Records.  Each
-builds its presentation matrix (tA - A^T, tP - id, i+ - t^{-1} i-) and
-its fraction-free elimination (adj, det) over Z[t,t^-1] once, on first
-use (for DualSurfaceData at construction, as its nonsingularity check),
-and every pairing, check and witness built from the same data object
-reads them.  Each presentation is linear in t, so each entry
-t^s (c0 + c1 t) is written from two integers with no Laurent arithmetic:
-(c0, c1) is (-a_ji, a_ij), (-delta_ij, p_ij) or (-i-_ij, i+_ij), with
-s = 0, 0 or -1.  The Seifert numerator (1 - t) adj(P)^T is written the
-same way, each entry from the coefficients c_k of adj(P)_ji as
-c_k - c_(k-1), with no polynomial product.
+builds its presentation matrix (tA - A^T, tP - id, i+ - t^{-1} i-), its
+fraction-free elimination (adj, det) over Z[t,t^-1] and its pairing form
+(N, d) from that elimination once, on first use (the elimination of
+DualSurfaceData at construction, as its nonsingularity check); every
+pairing, check and witness built from the same data object reads them.
+Each presentation is linear in t, so each entry t^s (c0 + c1 t) is
+written from two integers with no Laurent arithmetic: (c0, c1) is
+(-a_ji, a_ij), (-delta_ij, p_ij) or (-i-_ij, i+_ij), with s = 0, 0 or
+-1.  The Seifert numerator (1 - t) adj(P)^T is written the same way,
+each entry from the coefficients c_k of adj(P)_ji as c_k - c_(k-1),
+with no polynomial product.
 
-PresentedPairing(data, N, d) reads the presentation and its elimination
-from the data object (SeifertData, FibredData or mkform.MKForm), so the
-two cannot disagree, and each data object keeps its (N, d) once built;
-DualSurfaceEvaluator shares its (N, d) form and value but not its
-membership test, as its N is not well-defined modulo the presentation
-in these coordinates.
+A pairing object takes only its data object (SeifertData, FibredData,
+DualSurfaceData or mkform.MKForm) and reads data.form, so the form is
+written once, on the data it belongs to, and a pairing holds its data
+but no data object holds a pairing.  PresentedPairing decides module
+membership from data.adjugate; DualSurfaceEvaluator shares its form and
+value but not its membership test, as its N is not well-defined modulo
+the presentation in these coordinates.
 
 For a Seifert matrix A with det A = +-1 the two theorems agree: the
 fibred data P = A^-T A, J = A - A^T have tP - id = A^-T (tA - A^T), and
@@ -48,7 +50,7 @@ the fibred one that sends every column of tA - A^T to zero.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .laurent import LaurentPoly, divides
 from .matrix import LAURENT, ZZ, Matrix, Record, SingularMatrixError, _kronecker_apply
@@ -87,7 +89,8 @@ class _PresentedData(Record):
     """Input data whose Alexander module has a square presentation matrix.
 
     An immutable Record: subclasses name their fields and define the
-    property presentation; its elimination is computed on first use and
+    property presentation and the cached property form, the pairing
+    (N, d) read off the elimination; both are computed on first use and
     kept in the instance dict, out of equality.
     """
 
@@ -122,6 +125,13 @@ class SeifertData(_PresentedData):
         """The presentation matrix tA - A^T of the Alexander module."""
         return _pencil([[-x for x in col] for col in zip(*self.matrix.entries)],
                        self.matrix)
+
+    @functools.cached_property
+    def form(self) -> tuple[Matrix, LaurentPoly]:
+        """(N, d) of the pairing (t-1)(A - tA^T)^{-1}: A - tA^T = -P^T for
+        P = tA - A^T, so it is (1-t) adj(P)^T over det P."""
+        adj, det = self.adjugate
+        return adj.transpose().map_entries(_one_minus_t), det
 
     @property
     def genus(self) -> int:
@@ -164,6 +174,13 @@ class FibredData(_PresentedData):
         n = self.size
         return _pencil([[-(i == j) for j in range(n)] for i in range(n)], self.monodromy)
 
+    @functools.cached_property
+    def form(self) -> tuple[Matrix, LaurentPoly]:
+        """(N, d) of the pairing J (t^{-1}P - id)^{-1}: adj(t^-1 P - id) is
+        the conjugate of adj(tP - id)."""
+        adj, det = self.adjugate
+        return self.intersection.to_ring(LAURENT) * adj.conjugate(), det.conjugate()
+
     @property
     def size(self) -> int:
         return self.monodromy.rows
@@ -204,6 +221,14 @@ class DualSurfaceData(_PresentedData):
         """
         return _pencil([[-x for x in row] for row in self.iota_minus.entries],
                        self.iota_plus, -1)
+
+    @functools.cached_property
+    def form(self) -> tuple[Matrix, LaurentPoly]:
+        """(N, d) of -((i+ - t^{-1} i-)^{-1} i+ v)^T J conj(w): that is
+        v^T N conj(w) / d with N = -(adj i+)^T J over d = det."""
+        adj, det = self.adjugate
+        return (-(adj * self.iota_plus.to_ring(LAURENT)).transpose()
+                * self.intersection.to_ring(LAURENT), det)
 
     @property
     def size(self) -> int:
@@ -251,13 +276,12 @@ def _sesquilinear(numer: Matrix, v: Sequence, w: Sequence) -> LaurentPoly:
 
 
 class _PairingForm:
-    """A Laurent numerator matrix N over one Laurent denominator d, read off
-    the elimination of data: v, w pair to the class of v^T N conj(w) / d."""
+    """A Laurent numerator matrix N over one Laurent denominator d, the form
+    of data: v, w pair to the class of v^T N conj(w) / d."""
 
-    def __init__(self, data: _PresentedData, numer: Matrix, denom: LaurentPoly):
+    def __init__(self, data: _PresentedData):
         self.data = data
-        self._numer = numer
-        self._denom = denom
+        self._numer, self._denom = data.form
 
     @property
     def size(self) -> int:
@@ -276,19 +300,6 @@ class _PairingForm:
 class PresentedPairing(_PairingForm):
     """The pairing form N / d on the module presented by data, a
     SeifertData, FibredData or MKForm; membership reads data.adjugate."""
-
-    def __init__(self, data: _PresentedData, numer: Matrix, denom: LaurentPoly):
-        presentation = data.presentation
-        if presentation.ring is not LAURENT or numer.ring is not LAURENT:
-            raise ValueError("presentation data must live over Z[t,t^-1]")
-        if not presentation.is_square() or numer.rows != presentation.rows \
-                or not numer.is_square():
-            raise ValueError("presentation and pairing matrices must be square, same size")
-        if presentation.rows and not data.adjugate[1]:
-            raise InvariantViolation("det(presentation) != 0")
-        if denom.is_zero():
-            raise InvariantViolation("pairing denominator nonzero")
-        super().__init__(data, numer, denom)
 
     @property
     def presentation(self) -> Matrix:
@@ -316,15 +327,33 @@ class PresentedPairing(_PairingForm):
         return f"<PresentedPairing {type(self.data).__name__} n={self.size}>"
 
 
+class DualSurfaceEvaluator(_PairingForm):
+    """Evaluator for the dual-surface pairing formula.
+
+    value(v, w) computes the Q/Lambda class of
+
+        -((i+ - t^{-1} i-)^{-1} i+ v)^T  J  conj(w)
+
+    for arbitrary coordinate vectors.  The formula computes the
+    Blanchfield pairing of the images of v and w in the Alexander
+    module; off that image the output carries no particular meaning,
+    which is the caller's concern.
+    """
+
+
+def _of_kind(data: _PresentedData, kind: type) -> _PresentedData:
+    """data itself, or TypeError unless it is a kind instance."""
+    if not isinstance(data, kind):
+        raise TypeError(f"expected {kind.__name__}, got {type(data).__name__}")
+    return data
+
+
 def from_seifert(data: SeifertData) -> PresentedPairing:
     """Blanchfield pairing of a knot from its Seifert matrix.
 
     Module Lambda^2g/(tA - A^T); pairing (v, w) -> v^T (t-1)(A - tA^T)^{-1} conj(w).
     """
-    # A - tA^T = -P^T for P = tA - A^T, so (t-1)(A - tA^T)^{-1} is
-    # (1-t) adj(P)^T over det P
-    return _kept_pairing(data, lambda adj, det: (
-        adj.transpose().map_entries(_one_minus_t), det))
+    return PresentedPairing(_of_kind(data, SeifertData))
 
 
 def _one_minus_t(e: LaurentPoly) -> LaurentPoly:
@@ -339,41 +368,11 @@ def from_fibred(data: FibredData) -> PresentedPairing:
 
     Module Lambda^k/(tP - id); pairing (v, w) -> v^T J (t^{-1}P - id)^{-1} conj(w).
     """
-    # adj(t^-1 P - id) is the conjugate of adj(tP - id)
-    return _kept_pairing(data, lambda adj, det: (
-        data.intersection.to_ring(LAURENT) * adj.conjugate(), det.conjugate()))
-
-
-def _kept_pairing(data: _PresentedData, form: Callable) -> PresentedPairing:
-    """PresentedPairing(data, *form(adj, det)), the form kept on data like adj, det."""
-    kept = vars(data).get("_form")
-    if kept is None:
-        kept = vars(data)["_form"] = form(*data.adjugate)
-    return PresentedPairing(data, *kept)
-
-
-class DualSurfaceEvaluator(_PairingForm):
-    """Evaluator for the dual-surface pairing formula.
-
-    value(v, w) computes the Q/Lambda class of
-
-        -((i+ - t^{-1} i-)^{-1} i+ v)^T  J  conj(w)
-
-    for arbitrary coordinate vectors.  The formula computes the
-    Blanchfield pairing of the images of v and w in the Alexander
-    module; off that image the output carries no particular meaning,
-    which is the caller's concern.
-    """
-
-    def __init__(self, data: DualSurfaceData):
-        adj, det = data.adjugate
-        # -(adj i+ v)^T J conj(w) = v^T N conj(w) with N = -(adj i+)^T J
-        super().__init__(data, -(adj * data.iota_plus.to_ring(LAURENT)).transpose()
-                         * data.intersection.to_ring(LAURENT), det)
+    return PresentedPairing(_of_kind(data, FibredData))
 
 
 def from_dual_surface(data: DualSurfaceData) -> DualSurfaceEvaluator:
-    return DualSurfaceEvaluator(data)
+    return DualSurfaceEvaluator(_of_kind(data, DualSurfaceData))
 
 
 def kearton_value(data: SeifertData, v: Sequence, w: Sequence) -> RationalFunction:

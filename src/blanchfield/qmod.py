@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import _polyops
-from .laurent import LaurentPoly, divides
+from .laurent import LaurentPoly, divides, render
 from .ratfunc import RationalFunction
 
 
@@ -181,40 +181,13 @@ class QModLambda:
             return "0"
         parts: list[str] = []
         if frac_coeffs:
-            parts.append(_fmt_fraction_laurent(frac_val, frac_coeffs))
+            parts.append(render(frac_val, frac_coeffs))
         if prop_num:
-            num = _fmt_fraction_laurent(0, prop_num)
-            parts.append(f"({num})/({LaurentPoly(0, prop_den)})")
+            parts.append(f"({render(0, prop_num)})/({render(0, prop_den)})")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"QModLambda('{self}')"
-
-
-def _fmt_fraction_laurent(val: int, coeffs: tuple[Fraction, ...]) -> str:
-    """Render a rational-coefficient Laurent polynomial, exponents descending."""
-    parts: list[str] = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if not c:
-            continue
-        exp = val + i
-        mag = abs(c)
-        if exp == 0:
-            body = str(mag) if mag.denominator == 1 else f"({mag})"
-        else:
-            mon = "t" if exp == 1 else f"t^{exp}"
-            if mag == 1:
-                body = mon
-            elif mag.denominator == 1:
-                body = f"{mag}{mon}"
-            else:
-                body = f"({mag}){mon}"
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append((" + " if c > 0 else " - ") + body)
-    return "".join(parts)
 
 
 def canonical_class(x: RationalFunction | LaurentPoly | int) -> QModLambda:

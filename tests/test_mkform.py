@@ -5,7 +5,7 @@ import pytest
 from blanchfield.catalog import builtin, random_seifert
 from blanchfield.laurent import LaurentPoly, T
 from blanchfield.matrix import LAURENT, ZZ, Matrix
-from blanchfield.mkform import mk_matrix, standard_symplectic, symplectic_normalize
+from blanchfield.mkform import MKForm, mk_matrix, standard_symplectic, symplectic_normalize
 from blanchfield.pairing import SeifertData, basis_vector, from_seifert
 from blanchfield.verify import random_vector
 
@@ -156,12 +156,23 @@ def test_mk_block_formulas_match_qt_sum():
 def test_mk_presented_pairing_built_once():
     form = mk_matrix(random_seifert(2, 3, 4))
     pp = form.to_presented_pairing()
-    assert form.to_presented_pairing() is pp
+    # each call wraps the one form (N, d) kept on the MKForm
+    assert form.to_presented_pairing().form[0] is pp.form[0]
     # the numerator is -adj(M_K(t^-1)), taken as the conjugate of -adj(M_K)
     adj, det = form.mk.conjugate().adjugate()
     assert pp._numer == -adj and pp._denom == det
     # membership reads the elimination cached on the form
     assert pp.data is form and form.adjugate == form.mk.adjugate()
+
+
+def test_mk_form_rejects_an_integer_matrix():
+    # M_K lives over Z[t,t^-1]; a symmetric integer matrix is refused at
+    # construction, not when its pairing is first built
+    eye = Matrix.identity(ZZ, 2)
+    with pytest.raises(ValueError, match=r"Z\[t,t\^-1\]"):
+        MKForm(Matrix.from_int_rows(ZZ, [[2, 1], [1, 2]]), eye)
+    with pytest.raises(ValueError, match=r"Z\[t,t\^-1\]"):
+        MKForm(Matrix(ZZ, (), cols=0), Matrix(ZZ, (), cols=0))
 
 
 def _isometry_checks(data, top, bottom):

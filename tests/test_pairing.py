@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 
@@ -253,6 +255,46 @@ def test_pairing_forms_are_built_once_per_data_object():
         twin = type(data)(*[getattr(data, f) for f in data._fields])
         assert twin == data and build(twin).form[0] is not numer
         assert build(twin).form == (numer, denom)
+
+
+def test_constructors_refuse_other_data_kinds():
+    # each formula belongs to one kind of data: the Seifert formula on
+    # tP - id, or the fibred one on tA - A^T, is refused by name rather
+    # than answered
+    fibred = builtin("trefoil-fibred").data()
+    with pytest.raises(TypeError, match="expected SeifertData, got FibredData"):
+        from_seifert(fibred)
+    with pytest.raises(TypeError, match="expected FibredData, got SeifertData"):
+        from_fibred(TREFOIL)
+    with pytest.raises(TypeError, match="expected DualSurfaceData, got SeifertData"):
+        from_dual_surface(TREFOIL)
+    adj, det = fibred.presentation.adjugate()
+    assert from_fibred(fibred).form == (
+        fibred.intersection.to_ring(LAURENT) * adj.conjugate(), det.conjugate())
+
+
+def test_data_objects_are_freed_by_reference_counting():
+    # a pairing holds its data and the data keeps only its form (N, d), no
+    # pairing, so dropping both frees the data without the cyclic collector
+    def dropped(data, build):
+        e = basis_vector(data.size, 0)
+        build(data).value(e, e)
+        return weakref.ref(data)
+
+    a = random_seifert(2, 3, 4).matrix
+    gc.disable()
+    try:
+        refs = [dropped(random_seifert(2, 3, 5), from_seifert),
+                dropped(FibredData(TREFOIL_FIBRED.monodromy,
+                                   TREFOIL_FIBRED.intersection), from_fibred),
+                dropped(DualSurfaceData(a, a.transpose(), a - a.transpose()),
+                        from_dual_surface),
+                dropped(mk_matrix(random_seifert(2, 3, 6)),
+                        lambda form: form.to_presented_pairing())]
+        alive = [r() is not None for r in refs]
+    finally:
+        gc.enable()
+    assert alive == [False] * 4
 
 
 def test_fibred_pairing_from_one_elimination():
