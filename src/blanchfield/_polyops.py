@@ -122,20 +122,28 @@ def certify_coprime(a, b) -> bool:
     >>> certify_coprime((0, 1), (P, 1))     # t and t + P share t mod P only
     False
     """
-    if not a or not a[-1] % P:
-        return False
-    a, b = [c % P for c in a], list(trim([c % P for c in b]))
-    while len(b) > 1:
-        inv, nb = pow(b[-1], -1, P), len(b)
+    return bool(a) and a[-1] % P != 0 and len(gcd_mod(a, b, P)) == 1
+
+
+def gcd_mod(a, b, p: int) -> tuple:
+    """A gcd of a and b in F_p[t] for a prime p, by Euclid, not made monic;
+    () when both vanish mod p.
+
+    >>> gcd_mod((1, 0, 1), (2, 1), 5)       # t^2 + 1 and t + 2 share t = -2 mod 5
+    (2, 1)
+    """
+    a, b = list(trim([c % p for c in a])), list(trim([c % p for c in b]))
+    while b:
+        inv, nb = pow(b[-1], -1, p), len(b)
         while len(a) >= nb:
-            c = a.pop() * inv % P
+            c = a.pop() * inv % p
             k = len(a) - nb + 1
             for i in range(nb - 1):
-                a[k + i] = (a[k + i] - c * b[i]) % P
+                a[k + i] = (a[k + i] - c * b[i]) % p
             while a and not a[-1]:
                 a.pop()
         a, b = b, a
-    return len(a) == 1 or len(b) == 1
+    return tuple(a)
 
 
 def pseudo_divmod(a, b) -> tuple:

@@ -13,20 +13,22 @@ from .laurent import LaurentPoly
 
 
 def _coerce_poly(x) -> tuple[tuple[int, ...], int]:
-    """Return (coefficient tuple, power of t to clear) for the input.
+    """Return (coefficient tuple c, k) with x = t^k c(t).
 
-    Accepts ints, integer coefficient sequences and LaurentPoly values;
-    a Laurent polynomial with negative valuation contributes the t-power
-    needed to make it an honest polynomial.  A coefficient that is not
-    an integer raises TypeError.
+    Accepts ints, integer coefficient sequences (k = 0) and LaurentPoly
+    values (k its valuation).  A coefficient that is not an integer
+    raises TypeError.
     """
     if isinstance(x, LaurentPoly):
-        if x.val >= 0:
-            return _polyops.shift(x.coeffs, x.val), 0
-        return tuple(x.coeffs), -x.val
+        return x.coeffs, x.val
     if isinstance(x, int):
         return _polyops.trim((x,)), 0
     return _polyops.trim(_polyops.as_ints(x)), 0
+
+
+def _low(coeffs) -> int:
+    """The exponent of the lowest nonzero coefficient."""
+    return next(i for i, c in enumerate(coeffs) if c)
 
 
 class RationalFunction:
@@ -51,24 +53,29 @@ class RationalFunction:
         A constant gcd there, with P not dividing lc(den), proves the gcd
         over Z constant: its leading coefficient divides lc(den), so it
         keeps its degree mod P, and it divides the gcd mod P.
+
+        The power of t is decided on its own: a polynomial with nonzero
+        constant term is prime to t, so once the common power of t is
+        cancelled, gcd(num, t^m q0) = gcd(num, q0) for den = t^m q0 with
+        q0(0) != 0, and Euclid runs against q0 only, not against m
+        leading zeros (m up to 2 MAX_EXPONENT for a pairing value).
         """
         n, kn = _coerce_poly(num)
         d, kd = _coerce_poly(den)
-        # the pending t-powers cancel across the fraction bar
-        if kn > kd:
-            d = _polyops.shift(d, kn - kd)
-        elif kd > kn:
-            n = _polyops.shift(n, kd - kn)
         if not d:
             raise ZeroDivisionError("rational function with zero denominator")
         if not n:
             self.num, self.den = (), (1,)
             return
+        # num/den = t^e n0/q0 with n0(0), q0(0) != 0
+        zn, zd = _low(n), _low(d)
+        e, n, d = kn - kd + zn - zd, n[zn:], d[zd:]
         if not _polyops.certify_coprime(d, n):
             g = _polyops.gcd_poly(n, d)
             if len(g) > 1:
                 n = _polyops.div_exact(n, g)
                 d = _polyops.div_exact(d, g)
+        n, d = (_polyops.shift(n, e), d) if e >= 0 else (n, _polyops.shift(d, -e))
         c = gcd(_polyops.content(n), _polyops.content(d))
         if c > 1:
             n = tuple(v // c for v in n)

@@ -1,24 +1,42 @@
 """Executable property checks for presented pairings.
 
-Well-definedness, sesquilinearity, hermitian symmetry and nonsingularity
-run seeded random trials through one loop, which calls a module of rank
-0 vacuous rather than count trials that drew nothing.  The other checks
-are exact, with no random draws: consistency and fibred-specialization
-compare the dual-surface form with the Seifert or fibred form on every
-generator pair, which covers all vectors as both are matrix forms, and
-mk-form compares the signatures of M_K with the Levine-Tristram
-signatures on every arc of the unit circle.  Each check reports
-pass/fail with a replayable counterexample (entry grammar plus vectors
-in the CLI's comma-separated Laurent format).  The CLI ``verify``
-command prints the reports; the test suite asserts them.
+A pairing of a knot or fibred 3-manifold is a matrix form N / d on the
+module presented by P, v, w -> v^T N conj(w) / d, so each defining
+property holds on all vectors exactly when it holds on generator pairs.
+Three checks decide theirs exactly that way, with no random draws:
+
+  * well-definedness: d divides every entry of P^T N and of N conj(P);
+  * hermitian: N / d agrees with conj(N)^T / conj(d) in Q(t)/Lambda on
+    every generator pair;
+  * nonsingularity: the adjoint H -> Hom(H, Q(t)/Lambda) is an
+    isomorphism, certified from Z = P^T N / d and Y = N conj(P) / d
+    (see check_nonsingular); that is more than an adjoint with no
+    kernel, which is all that sampled vectors can test.
+
+Consistency and fibred-specialization compare the dual-surface form
+with the Seifert or fibred form on every generator pair, with the same
+helper as hermitian, and mk-form compares the signatures of M_K with
+the Levine-Tristram signatures on every arc of the unit circle.
+
+Sesquilinearity is the one sampled check: it evaluates seeded random
+vectors through the packed pairing kernel, and it is the only check on
+a dual-surface entry.  The trials and seed arguments drive it, and the
+sampled fallback of nonsingularity where no certificate applies (its
+detail then says "sampled").  A module of rank 0 makes every check
+vacuous.  Each check reports pass/fail with a replayable counterexample
+(entry grammar plus vectors in the CLI's comma-separated Laurent
+format).  The CLI ``verify`` command prints the reports; the test suite
+asserts them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Callable, Sequence
 
+from . import _polyops
 from .catalog import CatalogEntry, _entry, random_seifert, render_entry
 from .invariants import signature_arcs
 from .laurent import LaurentPoly, divides
@@ -88,24 +106,37 @@ def _trials(name: str, entry: CatalogEntry, n: int, trials: int,
 
 def check_well_defined(pairing: PresentedPairing, entry: CatalogEntry,
                        rng: random.Random, trials: int) -> CheckResult:
-    """Pairing values are unchanged by shifts along the presentation, both slots."""
-    n = pairing.size
+    """The form N / d vanishes when either vector presents zero.
 
-    def trial(_):
-        v, w, x = (random_vector(rng, n) for _ in range(3))
-        shift = pairing.presentation.mul_vec(x)
-        base = pairing.value(v, w)
-        v2 = tuple(a + b for a, b in zip(v, shift))
-        w2 = tuple(a + b for a, b in zip(w, shift))
-        if pairing.value(v2, w) != base or pairing.value(v, w2) != base:
-            return "value moved under a presentation shift", dict(v=v, w=w, x=x)
-    return _trials("well-definedness", entry, n, trials, trial)
+    Exact, on generators: value(P x, w) = x^T (P^T N) conj(w) / d and
+    value(v, P x) = v^T (N conj(P)) conj(x) / d, so the form vanishes on
+    the image of the presentation P in either slot, for all vectors,
+    exactly when d divides every entry of P^T N and of N conj(P).
+    rng and trials are unused.
+    """
+    name, n = "well-definedness", pairing.size
+    if n == 0:
+        return CheckResult(name, True, "vacuous for genus 0")
+    pres, (numer, denom) = pairing.presentation, pairing.form
+    left, right = pres.transpose() * numer, numer * pres.conjugate()
+    for i, j in itertools.product(range(n), repeat=2):
+        if not divides(denom, left[i, j]):
+            return CheckResult(name, False, f"value(P e{i + 1}, e{j + 1}) is not 0",
+                               _counterexample(entry, v=pres.column(i),
+                                               w=basis_vector(n, j)))
+        if not divides(denom, right[i, j]):
+            return CheckResult(name, False, f"value(e{i + 1}, P e{j + 1}) is not 0",
+                               _counterexample(entry, v=basis_vector(n, i),
+                                               w=pres.column(j)))
+    return CheckResult(name, True, f"{n * n} generator pairs")
 
 
 def check_sesquilinear(pairing: PresentedPairing | DualSurfaceEvaluator,
                        entry: CatalogEntry, rng: random.Random,
                        trials: int) -> CheckResult:
-    """value(p v, q w) = p * value(v, w) * conj(q) as classes."""
+    """value(p v, q w) = p * value(v, w) * conj(q) as classes, on seeded
+    random vectors: the one sampled check, and the only one on a
+    dual-surface entry."""
     n = pairing.size
 
     def trial(_):
@@ -119,61 +150,207 @@ def check_sesquilinear(pairing: PresentedPairing | DualSurfaceEvaluator,
 
 def check_hermitian(pairing: PresentedPairing, entry: CatalogEntry,
                     rng: random.Random, trials: int) -> CheckResult:
-    """value(v, w) equals the conjugate class of value(w, v)."""
-    n = pairing.size
+    """value(v, w) equals the conjugate class of value(w, v).
 
-    def trial(_):
-        v, w = random_vector(rng, n), random_vector(rng, n)
-        if pairing.value(v, w) != pairing.value(w, v).conjugate():
-            return "conjugate symmetry fails", dict(v=v, w=w)
-    return _trials("hermitian", entry, n, trials, trial)
+    Exact, on generators: the conjugate of value(w, v) is
+    v^T conj(N)^T conj(w) / conj(d), so the form N / d is hermitian
+    exactly when it agrees with conj(N)^T / conj(d) on every generator
+    pair.  rng and trials are unused.
+    """
+    numer, denom = pairing.form
+    return _agree_on_generators("hermitian", entry, (numer, denom),
+                                (numer.conjugate_transpose(), denom.conjugate()))
 
 
 def check_nonsingular(pairing: PresentedPairing, entry: CatalogEntry,
                       rng: random.Random, trials: int) -> CheckResult:
-    """value(e_i, w) = 0 for all i exactly when w is zero in the module."""
-    n = pairing.size
+    """The adjoint w -> value(-, w), from the module H = Lambda^n / P Lambda^n
+    to Hom(H, Q(t)/Lambda), is an isomorphism.
+
+    The map: a homomorphism H -> Q(t)/Lambda is its values f on the
+    generators, subject to P^T f = 0; as det P != 0, y = P^T f identifies
+    Hom(H, Q(t)/Lambda) with Lambda^n / P^T Lambda^n.  The adjoint has
+    f = N conj(w) / d, so y = Z conj(w) for Z = P^T N / d: it is the map
+    Lambda^n / conj(P) Lambda^n -> Lambda^n / P^T Lambda^n induced by Z,
+    read on conj(w).  With Y = N conj(P) / d, Z conj(P) = P^T Y.  Z and
+    Y are Laurent exactly when the form is well-defined; if one is not,
+    there is no adjoint, and the check fails.
+
+    Certificate 1, the adjoint is z times the identity (Z = z I) and
+    conj(P) = u P^T for a unit u, as for a Seifert form: P = tA - A^T has
+    conj(P) = -t^-1 P^T, and Z = (1 - t) I since P^T (1 - t) adj(P)^T =
+    (1 - t) det(P) I.  Then both sides are M = Lambda^n / P^T Lambda^n
+    (and Y = u z I is Laurent), and the adjoint is multiplication by z on
+    M.  An onto endomorphism of
+    a finitely generated module over a commutative ring is one to one
+    (Vasconcelos 1969), so it is an isomorphism exactly when zM = M, that
+    is, when P^T presents zero over Lambda / (z): when det P is a unit
+    mod z, i.e. z and det P generate Lambda.  _generate_lambda decides
+    that by the resultant, and the check fails when it disproves it.
+
+    Certificate 2, det Z and det Y are units: Z is then an automorphism
+    of Lambda^n carrying conj(P) Lambda^n onto Z conj(P) Lambda^n =
+    P^T Y Lambda^n = P^T Lambda^n, as Y is invertible too, so it induces
+    an isomorphism of the quotients.
+
+    Without either certificate the check draws seeded random w and asks
+    that value(e_i, w) = 0 for all i exactly when w presents zero, which
+    tests only that the adjoint has no kernel; its detail says sampled.
+    """
+    name, n = "nonsingularity", pairing.size
+    if n == 0:
+        return CheckResult(name, True, "vacuous for genus 0")
+    pres, (numer, denom) = pairing.presentation, pairing.form
+
+    def no_adjoint():
+        return CheckResult(name, False, "the form is not well-defined, so it has no adjoint",
+                           _counterexample(entry))
+    z = _divided(pres.transpose() * numer, denom)
+    if z is None:
+        return no_adjoint()
+    scalar = z[0, 0]
+    if z == Matrix.identity(LAURENT, n) * scalar and \
+            _unit_multiple(pres.conjugate(), pres.transpose()):
+        onto, certificate = _generate_lambda(scalar, pairing.data.adjugate[1])
+        if onto is not None:
+            return CheckResult(name, onto, f"adjoint z id with z = {scalar}, {certificate}",
+                               None if onto else _counterexample(entry))
+    else:
+        y = _divided(numer * pres.conjugate(), denom)
+        if y is None:
+            return no_adjoint()
+        if z.det().is_unit() and y.det().is_unit():
+            return CheckResult(name, True, "adjoint invertible: det Z, det Y units")
     basis = [basis_vector(n, i) for i in range(n)]
 
     def trial(k):
         if k % 3 == 2:
             # exercise the zero side with an element of the image
-            w = pairing.presentation.mul_vec(random_vector(rng, n))
+            w = pres.mul_vec(random_vector(rng, n))
         else:
             w = random_vector(rng, n)
         all_zero = all(pairing.value(e, w).is_zero() for e in basis)
         if all_zero != pairing.is_zero_element(w):
             return (f"annihilated-by-basis {all_zero} but zero-in-module {not all_zero}",
                     dict(w=w))
-    return _trials("nonsingularity", entry, n, trials, trial)
+    result = _trials(name, entry, n, trials, trial)
+    return result if not result.passed else \
+        CheckResult(name, True, f"sampled, no certificate, {result.detail}")
 
 
-def _agree_on_generators(name: str, entry: CatalogEntry, dual: DualSurfaceData,
-                         pairing: PresentedPairing, x: Matrix) -> CheckResult:
-    """Does the dual-surface form N_d / d_d of dual equal x^T N x / d, which is
-    (xv)^T N conj(xw) / d for the form N / d of pairing, as x is integral?  Both
-    are matrix forms: agreeing on every generator pair, they agree on all vectors."""
-    n = dual.size
-    dual_numer, dual_denom = from_dual_surface(dual).form
-    numer, denom = pairing.form
-    x = x.to_ring(LAURENT)
-    moved = x.transpose() * numer * x
+def _divided(m: Matrix, d: LaurentPoly) -> Matrix | None:
+    """m / d, or None unless d divides every entry of m."""
+    try:
+        return m.map_entries(lambda e: e.exact_div(d))
+    except ArithmeticError:
+        return None
+
+
+def _unit_multiple(a: Matrix, b: Matrix) -> bool:
+    """Is a = u b for one unit u = +-t^k of Lambda (b nonzero)?"""
+    pairs = [(x, y) for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)]
+    x, y = next((x, y) for x, y in pairs if y)
+    if not x.is_unit_multiple_of(y):
+        return False
+    u = LaurentPoly._of(x.val - y.val, (x.coeffs[0] // y.coeffs[0],))
+    return all(x == u * y for x, y in pairs)
+
+
+def _generate_lambda(z: LaurentPoly, delta: LaurentPoly) -> tuple[bool | None, str]:
+    """Do z and delta != 0 generate the unit ideal of Lambda?  (answer,
+    certificate), or (None, reason) when no certificate is in reach.
+
+    Units t^k drop out, so f and g are the coefficient tuples of z and
+    delta: integer polynomials with nonzero constant terms.  Lambda is
+    a finitely generated Z-algebra, so each of its maximal ideals meets Z
+    in some pZ: it is (p, h) for a prime p and an h irreducible mod p
+    other than t, and it holds f and g exactly when h divides both
+    mod p, t-powers stripped; then it holds every integer of the ideal
+    (f, g), such as the resultant R = Res(f, g) = a f + b g, so p | R.
+    Hence:
+      * a common factor mod a prime p disproves (f, g) = Lambda, as does
+        R = 0, a common factor k over Q: (f, g) lies in (k), and k is no
+        unit as k(0) != 0;
+      * when every prime of R is known (R = +-1 has none) and none gives
+        a common factor, no maximal ideal holds f and g: they generate
+        Lambda.
+    """
+    f, g = z.coeffs, delta.coeffs
+    if not f:
+        return (True, "det P a unit") if delta.is_unit() else (False, "det P not a unit")
+    if len(f) == len(g) == 1:
+        r = math.gcd(f[0], g[0])  # (f, g) is gcd(f, g) Z[t] for constants
+    else:
+        r = _sylvester(f, g).det()
+    if r == 0:
+        return False, "z and det P share a factor over Q"
+    primes, rest = _prime_factors(r)
+    for p in primes:
+        strip = [LaurentPoly._of(0, [c % p for c in h]).coeffs for h in (f, g)]
+        if len(_polyops.gcd_mod(*strip, p)) != 1:
+            return False, f"z and det P share a factor mod {p}"
+    if rest != 1:
+        return None, f"resultant {r} not factored"
+    return True, f"|resultant(z, det P)| = {abs(r)}" + \
+        (f", no common factor mod {', '.join(map(str, primes))}" if primes else "")
+
+
+def _sylvester(f: Sequence[int], g: Sequence[int]) -> Matrix:
+    """The Sylvester matrix of f and g (not both constant): its determinant
+    is +-Res(f, g)."""
+    m, k = len(f) - 1, len(g) - 1
+    return Matrix.from_int_rows(
+        ZZ, [[0] * i + list(f) + [0] * (k - 1 - i) for i in range(k)]
+        + [[0] * i + list(g) + [0] * (m - 1 - i) for i in range(m)])
+
+
+def _prime_factors(r: int) -> tuple[list[int], int]:
+    """The primes dividing r != 0 found by trial division below 2^12, and
+    the part of |r| they leave: 1 when every prime of r is found."""
+    r, primes, p = abs(r), [], 2
+    while p * p <= r and p < 1 << 12:
+        if r % p == 0:
+            primes.append(p)
+            while r % p == 0:
+                r //= p
+        p += 1
+    if 1 < r < p * p:  # no factor below p, so r is prime
+        primes.append(r)
+        r = 1
+    return primes, r
+
+
+def _agree_on_generators(name: str, entry: CatalogEntry,
+                         form: tuple[Matrix, LaurentPoly],
+                         other: tuple[Matrix, LaurentPoly]) -> CheckResult:
+    """Do the forms N1 / d1 and N2 / d2 agree, as classes in Q/Lambda, on
+    every generator pair (e_i, e_j)?  Both are matrix forms v^T N conj(w) / d,
+    so agreeing on every generator pair, they agree on all vectors."""
+    (numer, denom), (numer2, denom2) = form, other
+    n = numer.rows
     for i, j in itertools.product(range(n), repeat=2):
-        if QModLambda._pair(dual_numer[i, j], dual_denom) != \
-                QModLambda._pair(moved[i, j], denom):
+        if QModLambda._pair(numer[i, j], denom) != QModLambda._pair(numer2[i, j], denom2):
             return CheckResult(name, False, f"generator pair ({i + 1},{j + 1}) differs",
                                _counterexample(entry, v=basis_vector(n, i),
                                                w=basis_vector(n, j)))
     return CheckResult(name, True, f"{n * n} generator pairs" if n else "vacuous for genus 0")
 
 
+def _transported(form: tuple[Matrix, LaurentPoly], x: Matrix) -> tuple[Matrix, LaurentPoly]:
+    """The form (xv)^T N conj(xw) / d of the integer matrix x and the form
+    N / d: x^T N x / d, as conj(x) = x."""
+    numer, denom = form
+    x = x.to_ring(LAURENT)
+    return x.transpose() * numer * x, denom
+
+
 def check_consistency(data: SeifertData, entry: CatalogEntry) -> CheckResult:
     """Dual-surface formula with (A, A^T, A - A^T) matches the Seifert formula:
     its value of (v, w) is (Av)^T (t-1)(A - tA^T)^{-1} conj(Aw), for all v, w."""
     a = data.matrix
-    return _agree_on_generators("consistency", entry,
-                                DualSurfaceData(a, a.transpose(), a - a.transpose()),
-                                from_seifert(data), a)
+    dual = DualSurfaceData(a, a.transpose(), a - a.transpose())
+    return _agree_on_generators("consistency", entry, from_dual_surface(dual).form,
+                                _transported(from_seifert(data).form, a))
 
 
 def kearton_witness(data: SeifertData) -> tuple[tuple[int, ...], int] | None:
@@ -243,10 +420,9 @@ def check_mk(data: SeifertData, entry: CatalogEntry) -> CheckResult:
 
 def check_fibred_specialization(data: FibredData, entry: CatalogEntry) -> CheckResult:
     """Dual-surface formula with (P, id, J) matches the fibred pairing."""
-    eye = Matrix.identity(ZZ, data.size)
+    dual = DualSurfaceData(data.monodromy, Matrix.identity(ZZ, data.size), data.intersection)
     return _agree_on_generators("fibred-specialization", entry,
-                                DualSurfaceData(data.monodromy, eye, data.intersection),
-                                from_fibred(data), eye)
+                                from_dual_surface(dual).form, from_fibred(data).form)
 
 
 def verify_entry(entry: CatalogEntry, trials: int = 25,

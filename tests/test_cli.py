@@ -69,6 +69,36 @@ def test_pairing_exponent_past_the_bound_is_input_error(capsys, exponent):
     assert "MAX_EXPONENT = 1000" in err
 
 
+def test_pairing_at_the_exponent_bound_canonicalises_in_linear_work(capsys, monkeypatch):
+    # the value's denominator is t^2000 Delta: Euclid runs against the five
+    # coefficients of Delta only, not against 2000 leading zeros as well
+    import time
+
+    from blanchfield import _polyops
+    from blanchfield.qmod import QModLambda
+    euclid, canon = [], []
+    certify, fields = _polyops.certify_coprime, QModLambda._fields
+
+    def counting_certify(a, b):
+        euclid.append(len(a))
+        return certify(a, b)
+
+    def timed_fields(self):
+        t0 = time.perf_counter()
+        try:
+            return fields(self)
+        finally:
+            canon.append(time.perf_counter() - t0)
+
+    monkeypatch.setattr(_polyops, "certify_coprime", counting_certify)
+    monkeypatch.setattr(QModLambda, "_fields", timed_fields)
+    code, out, err = run(capsys, "pairing", "cinquefoil",
+                         "--v", "1+t^1000,t^-1000,t^1000,1", "--w", "1+t^-1000,t^1000,1,t^-999")
+    assert (code, out, err) == (0, "(-23t^3 + 24t^2 - 14t - 7)/(t^4 - t^3 + t^2 - t + 1)\n", "")
+    assert euclid == [5]
+    assert sum(canon) < 0.1
+
+
 def test_pairing_dimension_mismatch_is_input_error(capsys):
     code, _, err = run(capsys, "pairing", "trefoil", "--v", "1", "--w", "1,0")
     assert code == 2

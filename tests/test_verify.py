@@ -7,8 +7,9 @@ from blanchfield.catalog import _entry, builtin, load_entry, random_seifert, ren
 from blanchfield.laurent import LaurentPoly, T
 from blanchfield.matrix import LAURENT, ZZ, Matrix
 from blanchfield.pairing import (DualSurfaceData, SeifertData, as_laurent_vector,
-                                 basis_vector, from_seifert, kearton_value, stabilize)
-from blanchfield.verify import (_agree_on_generators, check_consistency,
+                                 basis_vector, from_dual_surface, from_fibred, from_seifert,
+                                 kearton_value, stabilize)
+from blanchfield.verify import (_agree_on_generators, _transported, check_consistency,
                                 check_fibred_specialization, check_hermitian,
                                 check_kearton, check_mk, check_nonsingular,
                                 check_sesquilinear, check_well_defined,
@@ -100,9 +101,11 @@ def _broken_trefoil(swap):
     (check_sesquilinear,  # v^T N w: the conjugation of w is dropped
      lambda p: {"value": lambda v, w: p.value(
          v, [e.conjugate() for e in as_laurent_vector(w)])}),
+    (check_hermitian,
+     lambda p: {"_numer": p._numer.map_entries(lambda e: e * e)}),
     (check_nonsingular,
      lambda p: {"_numer": p._numer.map_entries(lambda e: 0 * e)}),
-], ids=["well-defined", "sesquilinear", "nonsingular"])
+], ids=["well-defined", "sesquilinear", "hermitian", "nonsingular"])
 def test_checks_fail_on_broken_pairings(check, swap):
     # negative controls: each check must be able to fail
     entry = seifert_entry(TREFOIL)
@@ -110,6 +113,96 @@ def test_checks_fail_on_broken_pairings(check, swap):
     assert not result.passed
     assert result.line().startswith(f"{result.name}: FAIL")
     assert result.counterexample.startswith(render_entry(entry))
+
+
+def test_singular_form_fails_nonsingularity_only():
+    # negative control: the figure-eight numerator times z0 = t + 2 + t^-1
+    # stays well-defined and hermitian (z0 is Laurent and symmetric) and its
+    # adjoint has no kernel, as H = Lambda/(Delta) is a domain; but it is not
+    # onto, since z0 and Delta = -t + 3 - t^-1 share the root -1 mod 5
+    entry = builtin("figure-eight")
+    pairing = from_seifert(entry.data())
+    broken = object.__new__(type(pairing))
+    broken.__dict__.update(pairing.__dict__)
+    broken._numer = pairing._numer.map_entries(lambda e: e * LaurentPoly(-1, (1, 2, 1)))
+    for seed in range(5):
+        results = {check: check(broken, entry, random.Random(seed), 25) for check in
+                   (check_well_defined, check_hermitian, check_nonsingular)}
+        assert results[check_well_defined].passed
+        assert results[check_hermitian].passed
+        result = results[check_nonsingular]
+        assert result.line() == ("nonsingularity: FAIL (adjoint z id with "
+                                 "z = -t^2 - t + 1 + t^-1, z and det P share a factor mod 5)")
+        assert result.counterexample.startswith(render_entry(entry))
+
+
+_EXACT_CHECKS = (check_well_defined, check_hermitian, check_nonsingular)
+
+
+def _certified_corpus():
+    randoms = [seifert_entry(random_seifert(genus, bound, seed), f"random-{genus}-{bound}-{seed}")
+               for genus in (1, 2, 3) for bound in (1, 3) for seed in range(4)]
+    return randoms + [builtin(name) for name in
+                      ("trefoil", "figure-eight", "cinquefoil", "trefoil-fibred")]
+
+
+@pytest.mark.parametrize("entry", _certified_corpus(), ids=lambda e: e.name)
+def test_exact_checks_pass_with_a_certificate(entry):
+    # every exact check decides its property from a certificate it names;
+    # none falls back to sampling on a Seifert or fibred entry
+    data = entry.data()
+    pairing = from_fibred(data) if entry.kind == "fibred" else from_seifert(data)
+    n = pairing.size
+    results = [check(pairing, entry, random.Random(0), 5) for check in _EXACT_CHECKS]
+    assert all(r.passed for r in results), results
+    well_defined, hermitian, nonsingular = (r.detail for r in results)
+    assert well_defined == hermitian == f"{n * n} generator pairs"
+    assert "sampled" not in nonsingular
+    if entry.kind == "fibred":
+        assert nonsingular == "adjoint invertible: det Z, det Y units"
+    else:
+        # Z = (1 - t) I, and (1 - t, Delta) = Lambda as Res(1 - t, Delta) = +-Delta(1)
+        assert nonsingular == "adjoint z id with z = -t + 1, |resultant(z, det P)| = 1"
+
+
+def test_nonsingular_without_certificate_says_sampled(monkeypatch):
+    # the sampled fallback, where neither certificate applies, says so
+    import blanchfield.verify as verify
+    monkeypatch.setattr(verify, "_generate_lambda", lambda z, delta: (None, "unknown"))
+    entry = seifert_entry(TREFOIL)
+    result = check_nonsingular(from_seifert(TREFOIL), entry, random.Random(0), 7)
+    assert result.line() == "nonsingularity: PASS (sampled, no certificate, 7 trials)"
+
+
+@pytest.mark.parametrize("z, delta, onto, certificate", [
+    ("1 - t", "t - 1 + t^-1", True, "|resultant(z, det P)| = 1"),
+    ("-1", "t - 3 + t^-1", True, "|resultant(z, det P)| = 1"),
+    ("t + 2", "t + 4", True, "|resultant(z, det P)| = 2, no common factor mod 2"),
+    ("2t + 1", "2t + 3", True, "|resultant(z, det P)| = 4, no common factor mod 2"),
+    ("10007t + 1", "10007t + 2", True,
+     "|resultant(z, det P)| = 10007, no common factor mod 10007"),
+    ("2t", "t^2 + 1", False, "z and det P share a factor mod 2"),
+    ("t + 2", "t^2 + 1", False, "z and det P share a factor mod 5"),
+    ("t - 1", "t^2 - 1", False, "z and det P share a factor over Q"),
+    ("3", "t^2 + t + 1", False, "z and det P share a factor mod 3"),
+    ("2", "3", True, "|resultant(z, det P)| = 1"),
+    ("2", "4", False, "z and det P share a factor mod 2"),
+    ("0", "t - 1 + t^-1", False, "det P not a unit"),
+    ("0", "-t^3", True, "det P a unit"),
+])
+def test_generate_lambda_certificates(z, delta, onto, certificate):
+    from blanchfield.verify import _generate_lambda
+    assert _generate_lambda(LaurentPoly.parse(z), LaurentPoly.parse(delta)) == \
+        (onto, certificate)
+
+
+def test_generate_lambda_leaves_an_unfactored_resultant_open():
+    # Res(p t + 1, p t + 2) = -p for the prime p = 2^31 - 1, past the square
+    # of the trial-division bound: no certificate, though 1 = (p t + 2) - (p t + 1)
+    from blanchfield.verify import _generate_lambda
+    p = 2**31 - 1
+    assert _generate_lambda(LaurentPoly(0, (1, p)), LaurentPoly(0, (2, p))) == \
+        (None, f"resultant {-p} not factored")
 
 
 @pytest.mark.parametrize("swap", [
@@ -157,12 +250,13 @@ def test_consistency_fails_on_wrong_transports():
         a = data.matrix
         eye = Matrix.identity(ZZ, a.rows)
         entry = seifert_entry(data)
-        dual = DualSurfaceData(a, a.transpose(), a - a.transpose())
+        dual = from_dual_surface(DualSurfaceData(a, a.transpose(), a - a.transpose())).form
         for x in (a, a.transpose(), -a):
             assert _agree_on_generators("consistency", entry, dual,
-                                        from_seifert(data), x).passed
+                                        _transported(from_seifert(data).form, x)).passed
         for x in (eye, a + a, a + eye):
-            result = _agree_on_generators("consistency", entry, dual, from_seifert(data), x)
+            result = _agree_on_generators("consistency", entry, dual,
+                                          _transported(from_seifert(data).form, x))
             assert not result.passed, (data, x)
             assert result.counterexample.startswith(render_entry(entry))
 
