@@ -29,8 +29,7 @@ _SUBMODULE = {name: module for module, names in {
     "pairing": "DualSurfaceData DualSurfaceEvaluator FibredData InvariantViolation "
                "PresentedPairing SeifertData as_laurent_vector basis_vector from_dual_surface "
                "from_fibred from_seifert kearton_value stabilize",
-    "qmod": "QModLambda canonical_class",
-    "ratfunc": "RationalFunction",
+    "qmod": "QModLambda RationalFunction canonical_class",
     "verify": "CheckResult kearton_witness verify_entry verify_random",
 }.items() for name in names.split()}
 

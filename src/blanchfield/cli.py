@@ -63,24 +63,11 @@ def _parse_circle_point(text: str) -> complex:
         except ValueError as exc:
             raise InputError(f"bad angle in {text!r}") from exc
         return cmath.exp(1j * theta)
-    m = text.strip()
-    if m.endswith("i"):
-        m = m[:-1]
-        # the last sign that is not an exponent's, as in 1e-10
-        split = max((k for k in range(1, len(m)) if m[k] in "+-" and m[k - 1] not in "eE"),
-                    default=0)
-        if split <= 0:
-            raise InputError(f"bad complex number {text!r}, use re+imi or theta:<radians>")
-        im = m[split:]  # a bare sign before i means +-1
-        try:
-            re, im = float(m[:split]), float(im if len(im) > 1 else im + "1")
-        except ValueError as exc:
-            raise InputError(f"bad complex number {text!r}") from exc
-        return complex(re, im)
-    try:
-        return complex(float(m), 0.0)
+    z = text.strip()
+    try:  # complex() reads re+imj, and a bare sign before j as +-1
+        return complex(z[:-1] + "j" if z.endswith("i") else z)
     except ValueError as exc:
-        raise InputError(f"bad complex number {text!r}") from exc
+        raise InputError(f"bad complex number {text!r}, use re+imi or theta:<radians>") from exc
 
 
 def _emit(args, command: str, entry_ref: str, result: dict,
@@ -152,47 +139,44 @@ def cmd_signature(args) -> int:
                              mk_signature, signature_profile)
     entry = _resolve_entry(args.entry)
     data = _seifert_data(entry)
-    diagnostics: dict = {}
     if (args.z is None) == (args.samples is None):
         raise InputError("give exactly one of --z or --samples")
-    if args.samples is not None and args.samples < 1:
-        raise InputError(f"--samples must be at least 1, got {args.samples}")
-    if args.z is not None:
-        z = _parse_circle_point(args.z)
+    if args.samples is not None:
+        if args.check_mk:
+            raise InputError("--check-mk compares at one point: give --z, not --samples")
+        if args.samples < 1:
+            raise InputError(f"--samples must be at least 1, got {args.samples}")
+        profile = signature_profile(data, args.samples)
+        rows = [{"theta": theta, "signature": "?" if s is None else s}
+                for theta, s in profile]
+        human = "\n".join(f"theta={theta:.6f}  {'?' if s is None else s}"
+                          for theta, s in profile)
+        _emit(args, "signature", args.entry, {"profile": rows}, human=human)
+        return EXIT_OK
+    z = _parse_circle_point(args.z)
+    diagnostics: dict = {}
+
+    def signature(key: str, compute, form) -> str:
+        """The signature at z, or '?' with its reason under key."""
         try:
-            sig = levine_tristram_signature(data, z)
-            sig_str = str(sig)
+            return str(compute(form, z))
         except IndeterminateSignatureError as exc:
-            sig = None
-            sig_str = "?"
-            diagnostics["indeterminate"] = str(exc)
+            diagnostics[key] = str(exc)
+            return "?"
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        if args.check_mk:
-            from .mkform import mk_matrix
-            try:
-                mk_sig = mk_signature(mk_matrix(data), z)
-                mk_str = str(mk_sig)
-            except IndeterminateSignatureError as exc:
-                mk_sig = None
-                mk_str = "?"
-                diagnostics["indeterminate-mk"] = str(exc)
-            agree = sig is not None and mk_sig is not None and sig == mk_sig
-            verdict = "OK" if agree or sig is None or mk_sig is None else "MISMATCH"
-            _emit(args, "signature", args.entry,
-                  {"signature": sig_str, "mk_signature": mk_str, "check": verdict},
-                  diagnostics, human=f"{sig_str} {mk_str} {verdict}")
-            return EXIT_OK if verdict == "OK" else EXIT_PROPERTY_FAILURE
-        _emit(args, "signature", args.entry, {"signature": sig_str},
-              diagnostics, human=sig_str)
+
+    sig = signature("indeterminate", levine_tristram_signature, data)
+    if not args.check_mk:
+        _emit(args, "signature", args.entry, {"signature": sig}, diagnostics, human=sig)
         return EXIT_OK
-    profile = signature_profile(data, args.samples)
-    rows = [{"theta": theta, "signature": "?" if s is None else s}
-            for theta, s in profile]
-    human = "\n".join(f"theta={theta:.6f}  {'?' if s is None else s}"
-                      for theta, s in profile)
-    _emit(args, "signature", args.entry, {"profile": rows}, human=human)
-    return EXIT_OK
+    from .mkform import mk_matrix
+    mk_sig = signature("indeterminate-mk", mk_signature, mk_matrix(data))
+    verdict = "MISMATCH" if "?" not in (sig, mk_sig) and sig != mk_sig else "OK"
+    _emit(args, "signature", args.entry,
+          {"signature": sig, "mk_signature": mk_sig, "check": verdict},
+          diagnostics, human=f"{sig} {mk_sig} {verdict}")
+    return EXIT_OK if verdict == "OK" else EXIT_PROPERTY_FAILURE
 
 
 def cmd_verify(args) -> int:

@@ -3,7 +3,7 @@
 Determinants and adjugates use fraction-free (Bareiss) elimination, so
 no fractions arise over Z or Z[t,t^-1]; callers keep adj/det rather
 than an inverse.  Q(t) appears only at output, as the reduced pairs of
-``ratfunc``; no algorithm here runs over it.  Matrices are immutable and
+``qmod``; no algorithm here runs over it.  Matrices are immutable and
 0x0 matrices are legal (the Seifert matrix of the unknot).
 
 Over Z[t,t^-1] the elimination runs on integers (Kronecker

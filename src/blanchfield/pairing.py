@@ -54,8 +54,7 @@ from typing import Sequence
 
 from .laurent import LaurentPoly, divides
 from .matrix import LAURENT, ZZ, Matrix, Record, SingularMatrixError, _kronecker_apply
-from .qmod import QModLambda
-from .ratfunc import RationalFunction
+from .qmod import QModLambda, RationalFunction
 
 
 class InvariantViolation(ValueError):

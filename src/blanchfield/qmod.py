@@ -11,9 +11,13 @@ conjugate); as t is a unit, that is integer long division of coefficient
 tuples.  Sums, negation, conjugation and scaling are pair arithmetic too,
 so checking a pairing's properties reduces no fraction.
 
+No algorithm runs over Q(t) either: a RationalFunction is only a reduced
+pair with no arithmetic, for output.  One reduction, ``_reduce``, serves
+it and the canonical form, from the pair's own Laurent polynomials.
+
 The canonical form is built only when read (str, repr, hash,
 ``representative()`` and the four fields), once per instance, by
-``from_ratfunc``, which ``canonical_class`` calls eagerly.  It is
+``_canonical``, which ``canonical_class`` calls eagerly.  It is
 
   * a "fractional" Laurent polynomial whose rational coefficients all
     lie in [0, 1), and
@@ -26,30 +30,149 @@ nonzero constant term can only be a Laurent polynomial if it is zero,
 so two rational functions differ by an integer Laurent polynomial
 exactly when they canonicalize identically.
 
-Canonicalization runs in integers up to the output Fractions.  Its
-input is reduced, mostly without a gcd (see ``RationalFunction``: Euclid
-mod the prime 2^31 - 1 certifies coprimality).  With den = t^m q0, one
-pseudo-division d*num = s*q0 + r (d | lc(q0)^k) and, for m > 0, the
-series inverse of q0 mod t^m scaled by c = q0(0)^m, which splits
-c*r = a*q0 + t^m*b, give x = t^-m (s + a/c)/d + b/(c*d*q0).
+Canonicalization runs in integers up to the output Fractions.  With the
+reduced x = n/(t^m q0), one pseudo-division d*n = s*q0 + r
+(d | lc(q0)^k) and, for m > 0, the series inverse of q0 mod t^m scaled
+by c = q0(0)^m, which splits c*r = a*q0 + t^m*b, give
+x = t^-m (s + a/c)/d + b/(c*d*q0).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import _polyops
 from .laurent import LaurentPoly, divides, render
-from .ratfunc import RationalFunction
+
+
+def _as_laurent(x) -> LaurentPoly:
+    """An int, integer coefficient sequence or LaurentPoly as a LaurentPoly;
+    a coefficient that is not an integer raises TypeError."""
+    if isinstance(x, LaurentPoly):
+        return x
+    return LaurentPoly(0, (x,) if isinstance(x, int) else x)
+
+
+def _reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[int, tuple, tuple]:
+    """(e, n, q) with num/den = t^e n/q in lowest terms: n and q integer
+    polynomials with nonzero constant terms (or n = (), q = (1,)), gcd 1
+    over Q, coprime contents and lc(q) > 0.
+
+    The power of t is read off the valuations, as the coefficient tuples
+    have nonzero ends: a polynomial with nonzero constant term is prime
+    to t, so Euclid never runs against the leading zeros of t^m q (m up
+    to 2 MAX_EXPONENT for a pairing value).  The gcd runs only when
+    ``_polyops.certify_coprime`` fails.  That certificate runs Euclid mod
+    the prime P = 2^31 - 1; a constant gcd there, with P not dividing
+    lc(q), proves the gcd over Z constant: its leading coefficient
+    divides lc(q), so it keeps its degree mod P, and it divides the gcd
+    mod P.
+    """
+    n, q = num.coeffs, den.coeffs
+    if not q:
+        raise ZeroDivisionError("rational function with zero denominator")
+    if not n:
+        return 0, (), (1,)
+    if not _polyops.certify_coprime(q, n):
+        g = _polyops.gcd_poly(n, q)
+        if len(g) > 1:
+            n, q = _polyops.div_exact(n, g), _polyops.div_exact(q, g)
+    c = gcd(_polyops.content(n), _polyops.content(q))
+    if c > 1:
+        n, q = tuple(v // c for v in n), tuple(v // c for v in q)
+    if q[-1] < 0:
+        n, q = _polyops.neg(n), _polyops.neg(q)
+    return num.val - den.val, n, q
+
+
+class RationalFunction:
+    """An element of Q(t) as a reduced pair num/den.
+
+    The numerator and denominator are integer polynomials (dense
+    coefficient tuples) with gcd 1 over the rationals, coprime integer
+    contents, and positive leading denominator coefficient, so equality
+    of values is equality of representations.  Each of num and den may
+    be given as an int, an integer sequence or a LaurentPoly.
+
+    >>> RationalFunction(LaurentPoly.parse('t^2 - 1'), LaurentPoly.parse('t - 1'))
+    RationalFunction('t + 1')
+    """
+
+    num: tuple[int, ...]
+    den: tuple[int, ...]
+
+    def __init__(self, num=0, den=1):
+        e, n, q = _reduce(_as_laurent(num), _as_laurent(den))
+        self.num, self.den = (_polyops.shift(n, e), q) if e >= 0 else (n, _polyops.shift(q, -e))
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.num == other.num and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def is_laurent(self) -> bool:
+        """Membership test for the subring Z[t, t^-1].
+
+        In canonical form x lies in Z[t, t^-1] exactly when the reduced
+        denominator is a power of t with coefficient one.
+        """
+        return self.den[-1] == 1 and not any(self.den[:-1])
+
+    def __str__(self) -> str:
+        num = LaurentPoly(0, self.num)
+        if self.den == (1,):
+            return str(num)
+        return f"({num})/({LaurentPoly(0, self.den)})"
+
+    def __repr__(self) -> str:
+        return f"RationalFunction('{self}')"
+
+
+def _canonical(num: LaurentPoly, den: LaurentPoly) -> tuple:
+    """The canonical fields of num/den + Z[t,t^-1], in integers up to the
+    final Fractions."""
+    e, n, q0 = _reduce(num, den)
+    # x = t^-m * n/q0 with n a polynomial and q0(0) != 0
+    m = max(0, -e)
+    n = _polyops.shift(n, e + m)
+    # d*n = s*q0 + r, so x = t^-m * (s + r/q0) / d with deg r < deg q0
+    d, s, r = _polyops.pseudo_divmod(n, q0)
+    if r and m:
+        # c*r = a*q0 + t^m*b with c = q0(0)^m and deg a < m splits
+        # r/(t^m q0) = (a/t^m + b/q0) / c
+        c = q0[0] ** m
+        a = _polyops.trim(_polyops.mul(r, _polyops.scaled_series_inverse(q0, m))[:m])
+        rest = _polyops.sub(_polyops.scale(r, c), _polyops.mul(a, q0))
+        assert not any(rest[:m]), "partial fraction split failed"
+        s, r, d = _polyops.add(_polyops.scale(s, c), a), rest[m:], d * c
+    # x = t^-m * s/d + r/(d*q0); reduce the Laurent coefficients into
+    # [0, 1): v % d takes the sign of d, so (v % d)/d = v/d - floor(v/d)
+    s = [v % d for v in s]
+    lo = next((i for i, v in enumerate(s) if v), len(s))
+    s = _polyops.trim(s[lo:])
+    # scale so the denominator of the proper part is primitive over Z
+    k = _polyops.content(q0)
+    prop = ((tuple(Fraction(v, d * k) for v in r), tuple(v // k for v in q0))
+            if r else ((), (1,)))
+    return (lo - m if s else 0, tuple(Fraction(v, d) for v in s), *prop)
 
 
 class QModLambda:
     """A class in Q(t)/Z[t,t^-1]: a Laurent pair, canonical on demand.
 
-    >>> QModLambda.from_ratfunc(RationalFunction(5))
+    >>> canonical_class(5)
     QModLambda('0')
-    >>> QModLambda.from_ratfunc(RationalFunction((0, 1), (2,)))
+    >>> canonical_class(RationalFunction((0, 1), (2,)))
     QModLambda('(1/2)t')
     >>> x = canonical_class(RationalFunction(1, LaurentPoly(0, (-1, 1))))
     >>> x * LaurentPoly(1, (1,)) == x       # t/(t - 1) = 1 + 1/(t - 1)
@@ -72,17 +195,16 @@ class QModLambda:
         self._den = q0 * d
 
     @classmethod
-    def _pair(cls, num: LaurentPoly, den: LaurentPoly, canon=None) -> QModLambda:
+    def _pair(cls, num: LaurentPoly, den: LaurentPoly) -> QModLambda:
         """The class of num/den (den != 0), kept as that pair."""
         out = object.__new__(cls)
-        out._num, out._den, out._canon = num, den, canon
+        out._num, out._den, out._canon = num, den, None
         return out
 
     def _fields(self) -> tuple:
         """(frac_val, frac_coeffs, prop_num, prop_den), built on first use."""
         if self._canon is None:
-            x = RationalFunction(self._num, self._den)
-            self._canon = QModLambda.from_ratfunc(x)._canon
+            self._canon = _canonical(self._num, self._den)
         return self._canon
 
     frac_val = property(lambda self: self._fields()[0])
@@ -107,35 +229,6 @@ class QModLambda:
 
     def __hash__(self) -> int:
         return hash(self._fields())
-
-    @classmethod
-    def from_ratfunc(cls, x: RationalFunction) -> QModLambda:
-        """Canonicalize x + Z[t,t^-1], in integers up to the final Fractions."""
-        num, den = x.num, x.den
-        # split den = t^m * q0 with q0(0) != 0
-        m = next(i for i, c in enumerate(den) if c)
-        q0 = den[m:]
-        # d*num = s*q0 + r, so x = t^-m * (s + r/q0) / d with deg r < deg q0
-        d, s, r = _polyops.pseudo_divmod(num, q0)
-        if r and m:
-            # c*r = a*q0 + t^m*b with c = q0(0)^m and deg a < m splits
-            # r/(t^m q0) = (a/t^m + b/q0) / c
-            c = q0[0] ** m
-            a = _polyops.trim(_polyops.mul(r, _polyops.scaled_series_inverse(q0, m))[:m])
-            rest = _polyops.sub(_polyops.scale(r, c), _polyops.mul(a, q0))
-            assert not any(rest[:m]), "partial fraction split failed"
-            s, r, d = _polyops.add(_polyops.scale(s, c), a), rest[m:], d * c
-        # x = t^-m * s/d + r/(d*q0); reduce the Laurent coefficients into
-        # [0, 1): v % d takes the sign of d, so (v % d)/d = v/d - floor(v/d)
-        s = [v % d for v in s]
-        lo = next((i for i, v in enumerate(s) if v), len(s))
-        s = _polyops.trim(s[lo:])
-        # scale so the denominator of the proper part is primitive over Z
-        k = _polyops.content(q0)
-        prop = ((tuple(Fraction(v, d * k) for v in r), tuple(v // k for v in q0))
-                if r else ((), (1,)))
-        return cls._pair(LaurentPoly._of(0, num), LaurentPoly._of(0, den),
-                         (lo - m if s else 0, tuple(Fraction(v, d) for v in s), *prop))
 
     def representative(self) -> RationalFunction:
         """A rational function in this class (the canonical one)."""
@@ -192,6 +285,7 @@ class QModLambda:
 
 def canonical_class(x: RationalFunction | LaurentPoly | int) -> QModLambda:
     """Canonical form of x + Z[t,t^-1]; the main entry point."""
-    if not isinstance(x, RationalFunction):
-        x = RationalFunction(x)
-    return QModLambda.from_ratfunc(x)
+    num, den = (x.num, x.den) if isinstance(x, RationalFunction) else (x, 1)
+    out = QModLambda._pair(_as_laurent(num), _as_laurent(den))
+    out._fields()
+    return out

@@ -22,7 +22,7 @@ from blanchfield.pairing import (DualSurfaceData, SeifertData, as_laurent_vector
                                  basis_vector, from_dual_surface, from_fibred,
                                  from_seifert, kearton_value)
 from blanchfield.qmod import canonical_class
-from blanchfield.ratfunc import RationalFunction as RF
+from blanchfield.qmod import RationalFunction as RF
 from blanchfield.verify import check_mk, random_laurent, random_vector, seifert_entry
 
 TREFOIL = builtin("trefoil").data()

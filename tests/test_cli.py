@@ -137,10 +137,11 @@ def test_signature_complex_literal(capsys):
     assert out.strip() == "-2"
 
 
-@pytest.mark.parametrize("z", ["0+i", "0-i", "0+1i"])
+@pytest.mark.parametrize("z", ["0+i", "0-i", "0+1i", "i", "-i", "1i"])
 def test_signature_bare_imaginary_unit(capsys, z):
-    # a bare sign before i is +-1: z = i and z = -i, both past the root pi/3
-    code, out, err = run(capsys, "signature", "trefoil", "--z", z)
+    # a bare sign before i is +-1, and the real part may be left out:
+    # z = i and z = -i, both past the root pi/3
+    code, out, err = run(capsys, "signature", "trefoil", f"--z={z}")
     assert (code, out, err) == (0, "-2\n", "")
 
 
@@ -155,6 +156,18 @@ def test_signature_exponent_in_complex_literal(capsys, z, plain, value):
     code, out, err = run(capsys, "signature", "trefoil", f"--z={z}")
     assert (code, out, err) == run(capsys, "signature", "trefoil", f"--z={plain}")
     assert code == 0 and out == "-2\n"
+
+
+def test_signature_space_inside_complex_literal_is_input_error(capsys):
+    code, out, err = run(capsys, "signature", "trefoil", "--z=-1 +0i")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad complex number '-1 +0i'")
+
+
+def test_signature_check_mk_with_samples_is_input_error(capsys):
+    code, out, err = run(capsys, "signature", "trefoil", "--samples", "3", "--check-mk")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--check-mk" in err and "--samples" in err
 
 
 def test_signature_check_mk(capsys):

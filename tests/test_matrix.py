@@ -8,7 +8,7 @@ from blanchfield.catalog import builtin, load_entry, random_seifert
 from blanchfield.laurent import LaurentPoly, T
 from blanchfield.matrix import (LAURENT, ZZ, Matrix, Ring, SingularMatrixError,
                                _elimination_width, _pack, _unpack)
-from blanchfield.ratfunc import RationalFunction as RF
+from blanchfield.qmod import RationalFunction as RF
 
 
 def laurent_matrix(rows):

@@ -15,7 +15,7 @@ from blanchfield.pairing import (DualSurfaceData, FibredData, InvariantViolation
                                  basis_vector, from_dual_surface, from_fibred,
                                  from_seifert, kearton_value, stabilize)
 from blanchfield.qmod import canonical_class
-from blanchfield.ratfunc import RationalFunction as RF
+from blanchfield.qmod import RationalFunction as RF
 from blanchfield.verify import random_vector
 
 TREFOIL = SeifertData(Matrix.from_int_rows(ZZ, [[-1, 1], [0, -1]]))

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from blanchfield._polyops import (P, certify_coprime, div_exact, gcd_poly, mul,
                                   pseudo_divmod, scaled_series_inverse, sub, trim)
-from blanchfield.ratfunc import RationalFunction as RF
+from blanchfield.qmod import RationalFunction as RF
 
 polys = st.lists(st.integers(-20, 20), max_size=6).map(trim)
 nonzero = polys.filter(bool)

@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from blanchfield._polyops import content, mul, shift, sub, trim
 from blanchfield.laurent import LaurentPoly, T, divides
-from blanchfield.qmod import QModLambda, canonical_class
-from blanchfield.ratfunc import RationalFunction as RF
+from blanchfield import qmod
+from blanchfield.qmod import QModLambda, RationalFunction as RF, canonical_class
 
 laurents = st.builds(
     LaurentPoly,
@@ -299,6 +299,16 @@ def test_lazy_scaling_matches_canonical_forms(pair, p, k):
         assert fields(a * s) == fields(s * a) == fields(canonical_class(RF(n * s, d)))
 
 
+@given(laurents, laurents.filter(bool), st.integers(-3, 3), st.sampled_from([-1, 2, -2, 6]))
+def test_raw_pair_canonicalises_like_its_reduced_pair(n, q, m, k):
+    # a raw pair: any valuations, and d of negative lc or content > 1
+    d = q * LaurentPoly(m, (k,))
+    assume(d.coeffs[-1] < 0 or content(d.coeffs) > 1)
+    x = RF(n, d)
+    assert fields(QModLambda._pair(n, d)) == fields(canonical_class(x)) \
+        == fields(reference_class(x))
+
+
 def test_constructed_instance_is_its_representative():
     # the positional constructor takes canonical fields; its pair is the
     # representative, so it compares by the same rule as a lazy pair
@@ -314,9 +324,9 @@ def test_constructed_instance_is_its_representative():
 
 def _count_canonicalisations(monkeypatch):
     calls = []
-    from_ratfunc = QModLambda.from_ratfunc
-    monkeypatch.setattr(QModLambda, "from_ratfunc",
-                        lambda x: calls.append(x) or from_ratfunc(x))
+    canonical = qmod._canonical
+    monkeypatch.setattr(qmod, "_canonical",
+                        lambda num, den: calls.append((num, den)) or canonical(num, den))
     return calls
 
 

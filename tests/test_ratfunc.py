@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from blanchfield.laurent import LaurentPoly, T
-from blanchfield.qmod import canonical_class
-from blanchfield.ratfunc import RationalFunction as RF
+from blanchfield.qmod import RationalFunction as RF, canonical_class
 
 laurents = st.builds(
     LaurentPoly,
