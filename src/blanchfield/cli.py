@@ -248,9 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", nargs=2, type=int, metavar=("G", "N"),
                    help="verify N random genus-G Seifert matrices")
     p.add_argument("--trials", type=int, default=25,
-                   help="random trials of the sampled checks: sesquilinearity, and "
-                        "nonsingularity where no exact certificate applies "
-                        "(default %(default)s)")
+                   help="random trials of sesquilinearity (default %(default)s)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of those trials; with --random, the seed of the first "
                         "matrix, the next ones counting up (default %(default)s)")

@@ -9,9 +9,9 @@ Three checks decide theirs exactly that way, with no random draws:
   * hermitian: N / d agrees with conj(N)^T / conj(d) in Q(t)/Lambda on
     every generator pair;
   * nonsingularity: the adjoint H -> Hom(H, Q(t)/Lambda) is an
-    isomorphism, certified from Z = P^T N / d and Y = N conj(P) / d
-    (see check_nonsingular); that is more than an adjoint with no
-    kernel, which is all that sampled vectors can test.
+    isomorphism, decided by one certificate read from the same two
+    products over d (see check_nonsingular); the check fails where the
+    certificate does not apply.
 
 Consistency and fibred-specialization compare the dual-surface form
 with the Seifert or fibred form on every generator pair, with the same
@@ -20,13 +20,11 @@ the Levine-Tristram signatures on every arc of the unit circle.
 
 Sesquilinearity is the one sampled check: it evaluates seeded random
 vectors through the packed pairing kernel, and it is the only check on
-a dual-surface entry.  The trials and seed arguments drive it, and the
-sampled fallback of nonsingularity where no certificate applies (its
-detail then says "sampled").  A module of rank 0 makes every check
-vacuous.  Each check reports pass/fail with a replayable counterexample
-(entry grammar plus vectors in the CLI's comma-separated Laurent
-format).  The CLI ``verify`` command prints the reports; the test suite
-asserts them.
+a dual-surface entry.  The trials and seed arguments drive it alone.
+A module of rank 0 makes every check vacuous.  Each check reports
+pass/fail with a replayable counterexample (entry grammar plus vectors
+in the CLI's comma-separated Laurent format).  The CLI ``verify``
+command prints the reports; the test suite asserts them.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 from . import _polyops
 from .catalog import CatalogEntry, _entry, random_seifert, render_entry
@@ -89,36 +87,21 @@ def _counterexample(entry: CatalogEntry, **vectors) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trials(name: str, entry: CatalogEntry, n: int, trials: int,
-            trial: Callable[[int], tuple[str, dict] | None]) -> CheckResult:
-    """Run trial(k) for k < trials; a trial draws its own vectors and returns
-    None, or (detail, counterexample vectors) on failure.  A module of
-    rank n = 0 has nothing to draw, so the check is vacuous."""
-    if n == 0:
-        return CheckResult(name, True, "vacuous for genus 0")
-    for k in range(trials):
-        failure = trial(k)
-        if failure is not None:
-            detail, vectors = failure
-            return CheckResult(name, False, detail, _counterexample(entry, **vectors))
-    return CheckResult(name, True, f"{trials} trials")
-
-
 def check_well_defined(pairing: PresentedPairing, entry: CatalogEntry,
-                       rng: random.Random, trials: int) -> CheckResult:
+                       adjoint: tuple[Matrix, Matrix]) -> CheckResult:
     """The form N / d vanishes when either vector presents zero.
 
     Exact, on generators: value(P x, w) = x^T (P^T N) conj(w) / d and
     value(v, P x) = v^T (N conj(P)) conj(x) / d, so the form vanishes on
     the image of the presentation P in either slot, for all vectors,
-    exactly when d divides every entry of P^T N and of N conj(P).
-    rng and trials are unused.
+    exactly when d divides every entry of P^T N and of N conj(P), the
+    pair adjoint = _adjoint(pairing).
     """
     name, n = "well-definedness", pairing.size
     if n == 0:
         return CheckResult(name, True, "vacuous for genus 0")
-    pres, (numer, denom) = pairing.presentation, pairing.form
-    left, right = pres.transpose() * numer, numer * pres.conjugate()
+    pres, denom = pairing.presentation, pairing.form[1]
+    left, right = adjoint
     for i, j in itertools.product(range(n), repeat=2):
         if not divides(denom, left[i, j]):
             return CheckResult(name, False, f"value(P e{i + 1}, e{j + 1}) is not 0",
@@ -136,26 +119,28 @@ def check_sesquilinear(pairing: PresentedPairing | DualSurfaceEvaluator,
                        trials: int) -> CheckResult:
     """value(p v, q w) = p * value(v, w) * conj(q) as classes, on seeded
     random vectors: the one sampled check, and the only one on a
-    dual-surface entry."""
-    n = pairing.size
-
-    def trial(_):
+    dual-surface entry.  A module of rank 0 has nothing to draw, so the
+    check is vacuous there."""
+    name, n = "sesquilinearity", pairing.size
+    if n == 0:
+        return CheckResult(name, True, "vacuous for genus 0")
+    for _ in range(trials):
         v, w = random_vector(rng, n), random_vector(rng, n)
         p, q = random_laurent(rng), random_laurent(rng)
         lhs = pairing.value(tuple(p * e for e in v), tuple(q * e for e in w))
         if lhs != pairing.value(v, w) * (p * q.conjugate()):
-            return f"fails for p={p}, q={q}", dict(v=v, w=w, p=(p,), q=(q,))
-    return _trials("sesquilinearity", entry, n, trials, trial)
+            return CheckResult(name, False, f"fails for p={p}, q={q}",
+                               _counterexample(entry, v=v, w=w, p=(p,), q=(q,)))
+    return CheckResult(name, True, f"{trials} trials")
 
 
-def check_hermitian(pairing: PresentedPairing, entry: CatalogEntry,
-                    rng: random.Random, trials: int) -> CheckResult:
+def check_hermitian(pairing: PresentedPairing, entry: CatalogEntry) -> CheckResult:
     """value(v, w) equals the conjugate class of value(w, v).
 
     Exact, on generators: the conjugate of value(w, v) is
     v^T conj(N)^T conj(w) / conj(d), so the form N / d is hermitian
     exactly when it agrees with conj(N)^T / conj(d) on every generator
-    pair.  rng and trials are unused.
+    pair.
     """
     numer, denom = pairing.form
     return _agree_on_generators("hermitian", entry, (numer, denom),
@@ -163,7 +148,7 @@ def check_hermitian(pairing: PresentedPairing, entry: CatalogEntry,
 
 
 def check_nonsingular(pairing: PresentedPairing, entry: CatalogEntry,
-                      rng: random.Random, trials: int) -> CheckResult:
+                      adjoint: tuple[Matrix, Matrix]) -> CheckResult:
     """The adjoint w -> value(-, w), from the module H = Lambda^n / P Lambda^n
     to Hom(H, Q(t)/Lambda), is an isomorphism.
 
@@ -173,69 +158,67 @@ def check_nonsingular(pairing: PresentedPairing, entry: CatalogEntry,
     f = N conj(w) / d, so y = Z conj(w) for Z = P^T N / d: it is the map
     Lambda^n / conj(P) Lambda^n -> Lambda^n / P^T Lambda^n induced by Z,
     read on conj(w).  With Y = N conj(P) / d, Z conj(P) = P^T Y.  Z and
-    Y are Laurent exactly when the form is well-defined; if one is not,
-    there is no adjoint, and the check fails.
+    Y are the products adjoint = (P^T N, N conj(P)) over d, Laurent
+    exactly when the form is well-defined; if one is not, there is no
+    adjoint, and the check fails.
 
-    Certificate 1, the adjoint is z times the identity (Z = z I) and
-    conj(P) = u P^T for a unit u, as for a Seifert form: P = tA - A^T has
-    conj(P) = -t^-1 P^T, and Z = (1 - t) I since P^T (1 - t) adj(P)^T =
-    (1 - t) det(P) I.  Then both sides are M = Lambda^n / P^T Lambda^n
-    (and Y = u z I is Laurent), and the adjoint is multiplication by z on
-    M.  An onto endomorphism of
-    a finitely generated module over a commutative ring is one to one
-    (Vasconcelos 1969), so it is an isomorphism exactly when zM = M, that
-    is, when P^T presents zero over Lambda / (z): when det P is a unit
-    mod z, i.e. z and det P generate Lambda.  _generate_lambda decides
-    that by the resultant, and the check fails when it disproves it.
+    The certificate.  Let z be a gcd in Lambda of every entry of Z and Y
+    (0 when all vanish), and ask that Z and Y be z times invertible
+    matrices: z = 0, or det(Z/z) and det(Y/z) units.  If z = 0 the
+    adjoint is zero, an isomorphism exactly when H = 0, i.e. when det P
+    is a unit.  Otherwise Z/z is an automorphism of Lambda^n carrying
+    conj(P) Lambda^n onto (Z/z) conj(P) Lambda^n = P^T (Y/z) Lambda^n =
+    P^T Lambda^n, so it induces an isomorphism of the quotients, and the
+    adjoint is z times it: an isomorphism exactly when multiplication by
+    z is an automorphism of M = Lambda^n / P^T Lambda^n.  An onto
+    endomorphism of a finitely generated module over a commutative ring
+    is one to one (Vasconcelos 1969), so that holds exactly when zM = M,
+    that is, when P^T presents zero over Lambda / (z): when det P is a
+    unit mod z, i.e. z and det P generate Lambda.  _generate_lambda
+    decides both cases, by the resultant.  Without the certificate, or
+    when the resultant is left unfactored, the check fails and names the
+    missing certificate.
 
-    Certificate 2, det Z and det Y are units: Z is then an automorphism
-    of Lambda^n carrying conj(P) Lambda^n onto Z conj(P) Lambda^n =
-    P^T Y Lambda^n = P^T Lambda^n, as Y is invertible too, so it induces
-    an isomorphism of the quotients.
-
-    Without either certificate the check draws seeded random w and asks
-    that value(e_i, w) = 0 for all i exactly when w presents zero, which
-    tests only that the adjoint has no kernel; its detail says sampled.
+    Why that is exact on every valid entry:
+      * Seifert, P = tA - A^T: conj(P) = -t^-1 P^T and P^T (1 - t)
+        adj(P)^T = (1 - t) det(P) I, so Z = (1 - t) I and
+        Y = -t^-1 (1 - t) I; z = t - 1, and Res(t - 1, Delta) =
+        +-Delta(1) = +-1, so every Seifert entry passes.
+      * Fibred, P = tM - id with monodromy M and N / d =
+        J (t^-1 M - id)^-1: M^T J M = J gives Z = -t J M^-1 and Y = J.
+        As abelian groups H and its dual are both Z^n, with t acting by
+        M^+-1, and the integer matrix of the adjoint is -M^-T J M^-1; so
+        the form is nonsingular exactly when det J = +-1.  Then z = 1,
+        det(Z) = +-t^n det J and det(Y) = det J are units, and
+        Res(1, det P) = 1: z = 1 certifies it.  Every other fibred form is
+        singular and fails: for J = c J0 with |c| > 1 and det J0 = +-1,
+        z = c is certified and disproved, as det(tM - id) has ends +-1
+        and so is no unit mod a prime of c; any other fails for want of
+        a certificate.
     """
     name, n = "nonsingularity", pairing.size
     if n == 0:
         return CheckResult(name, True, "vacuous for genus 0")
-    pres, (numer, denom) = pairing.presentation, pairing.form
-
-    def no_adjoint():
+    denom = pairing.form[1]
+    z_y = [_divided(m, denom) for m in adjoint]
+    if None in z_y:
         return CheckResult(name, False, "the form is not well-defined, so it has no adjoint",
                            _counterexample(entry))
-    z = _divided(pres.transpose() * numer, denom)
-    if z is None:
-        return no_adjoint()
-    scalar = z[0, 0]
-    if z == Matrix.identity(LAURENT, n) * scalar and \
-            _unit_multiple(pres.conjugate(), pres.transpose()):
-        onto, certificate = _generate_lambda(scalar, pairing.data.adjugate[1])
-        if onto is not None:
-            return CheckResult(name, onto, f"adjoint z id with z = {scalar}, {certificate}",
-                               None if onto else _counterexample(entry))
-    else:
-        y = _divided(numer * pres.conjugate(), denom)
-        if y is None:
-            return no_adjoint()
-        if z.det().is_unit() and y.det().is_unit():
-            return CheckResult(name, True, "adjoint invertible: det Z, det Y units")
-    basis = [basis_vector(n, i) for i in range(n)]
+    z = _gcd(e for m in z_y for row in m.entries for e in row)
+    if z and not all(_divided(m, z).det().is_unit() for m in z_y):
+        return CheckResult(name, False, f"no certificate: det(Z/z) or det(Y/z) is not "
+                           f"a unit, z = {z}", _counterexample(entry))
+    onto, certificate = _generate_lambda(z, pairing.data.adjugate[1])
+    detail = f"Z and Y are z times invertible matrices, z = {z}, " + \
+        (certificate if onto is not None else f"no certificate: {certificate}")
+    return CheckResult(name, bool(onto), detail, None if onto else _counterexample(entry))
 
-    def trial(k):
-        if k % 3 == 2:
-            # exercise the zero side with an element of the image
-            w = pres.mul_vec(random_vector(rng, n))
-        else:
-            w = random_vector(rng, n)
-        all_zero = all(pairing.value(e, w).is_zero() for e in basis)
-        if all_zero != pairing.is_zero_element(w):
-            return (f"annihilated-by-basis {all_zero} but zero-in-module {not all_zero}",
-                    dict(w=w))
-    result = _trials(name, entry, n, trials, trial)
-    return result if not result.passed else \
-        CheckResult(name, True, f"sampled, no certificate, {result.detail}")
+
+def _adjoint(pairing: PresentedPairing) -> tuple[Matrix, Matrix]:
+    """(P^T N, N conj(P)) of the pairing's presentation P and form N / d:
+    well-definedness and nonsingularity read both."""
+    pres, numer = pairing.presentation, pairing.form[0]
+    return pres.transpose() * numer, numer * pres.conjugate()
 
 
 def _divided(m: Matrix, d: LaurentPoly) -> Matrix | None:
@@ -246,14 +229,15 @@ def _divided(m: Matrix, d: LaurentPoly) -> Matrix | None:
         return None
 
 
-def _unit_multiple(a: Matrix, b: Matrix) -> bool:
-    """Is a = u b for one unit u = +-t^k of Lambda (b nonzero)?"""
-    pairs = [(x, y) for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)]
-    x, y = next((x, y) for x, y in pairs if y)
-    if not x.is_unit_multiple_of(y):
-        return False
-    u = LaurentPoly._of(x.val - y.val, (x.coeffs[0] // y.coeffs[0],))
-    return all(x == u * y for x, y in pairs)
+def _gcd(polys: Iterable[LaurentPoly]) -> LaurentPoly:
+    """A gcd in Lambda of the Laurent polynomials: the integer content
+    times the primitive gcd over Z[t], powers of t dropped; 0 when all
+    vanish."""
+    content, primitive = 0, ()
+    for p in polys:
+        content = math.gcd(content, _polyops.content(p.coeffs))
+        primitive = _polyops.gcd_poly(primitive, p.coeffs)
+    return LaurentPoly._of(0, _polyops.scale(primitive, content))
 
 
 def _generate_lambda(z: LaurentPoly, delta: LaurentPoly) -> tuple[bool | None, str]:
@@ -438,9 +422,11 @@ def verify_entry(entry: CatalogEntry, trials: int = 25,
         pairing, exact = from_seifert(data), (check_consistency, check_mk, check_kearton)
     else:
         pairing, exact = from_fibred(data), (check_fibred_specialization,)
-    return [check(pairing, entry, rng, trials)
-            for check in (check_well_defined, check_sesquilinear,
-                          check_hermitian, check_nonsingular)] + \
+    adjoint = _adjoint(pairing)
+    return [check_well_defined(pairing, entry, adjoint),
+            check_sesquilinear(pairing, entry, rng, trials),
+            check_hermitian(pairing, entry),
+            check_nonsingular(pairing, entry, adjoint)] + \
         [check(data, entry) for check in exact]
 
 

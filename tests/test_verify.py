@@ -6,10 +6,11 @@ import pytest
 from blanchfield.catalog import _entry, builtin, load_entry, random_seifert, render_entry
 from blanchfield.laurent import LaurentPoly, T
 from blanchfield.matrix import LAURENT, ZZ, Matrix
+from blanchfield.mkform import mk_matrix
 from blanchfield.pairing import (DualSurfaceData, SeifertData, as_laurent_vector,
                                  basis_vector, from_dual_surface, from_fibred, from_seifert,
                                  kearton_value, stabilize)
-from blanchfield.verify import (_agree_on_generators, _transported, check_consistency,
+from blanchfield.verify import (_adjoint, _agree_on_generators, _transported, check_consistency,
                                 check_fibred_specialization, check_hermitian,
                                 check_kearton, check_mk, check_nonsingular,
                                 check_sesquilinear, check_well_defined,
@@ -76,8 +77,7 @@ def test_counterexamples_are_replayable():
     broken.__dict__.update(pairing.__dict__)
     broken._numer = pairing._numer.map_entries(lambda e: e * e)
     entry = seifert_entry(TREFOIL)
-    rng = random.Random(0)
-    result = check_hermitian(broken, entry, rng, trials=20)
+    result = check_hermitian(broken, entry)
     assert not result.passed
     assert result.counterexample is not None
     replay = result.counterexample.splitlines()
@@ -96,20 +96,21 @@ def _broken_trefoil(swap):
 
 
 @pytest.mark.parametrize("check, swap", [
-    (check_well_defined,
+    (lambda p, entry: check_well_defined(p, entry, _adjoint(p)),
      lambda p: {"_numer": p._numer.map_entries(lambda e: e * e)}),
-    (check_sesquilinear,  # v^T N w: the conjugation of w is dropped
+    # v^T N w: the conjugation of w is dropped
+    (lambda p, entry: check_sesquilinear(p, entry, random.Random(0), trials=20),
      lambda p: {"value": lambda v, w: p.value(
          v, [e.conjugate() for e in as_laurent_vector(w)])}),
     (check_hermitian,
      lambda p: {"_numer": p._numer.map_entries(lambda e: e * e)}),
-    (check_nonsingular,
+    (lambda p, entry: check_nonsingular(p, entry, _adjoint(p)),
      lambda p: {"_numer": p._numer.map_entries(lambda e: 0 * e)}),
 ], ids=["well-defined", "sesquilinear", "hermitian", "nonsingular"])
 def test_checks_fail_on_broken_pairings(check, swap):
     # negative controls: each check must be able to fail
     entry = seifert_entry(TREFOIL)
-    result = check(_broken_trefoil(swap), entry, random.Random(0), trials=20)
+    result = check(_broken_trefoil(swap), entry)
     assert not result.passed
     assert result.line().startswith(f"{result.name}: FAIL")
     assert result.counterexample.startswith(render_entry(entry))
@@ -119,24 +120,20 @@ def test_singular_form_fails_nonsingularity_only():
     # negative control: the figure-eight numerator times z0 = t + 2 + t^-1
     # stays well-defined and hermitian (z0 is Laurent and symmetric) and its
     # adjoint has no kernel, as H = Lambda/(Delta) is a domain; but it is not
-    # onto, since z0 and Delta = -t + 3 - t^-1 share the root -1 mod 5
+    # onto, since z0 and Delta = -t + 3 - t^-1 share the root -1 mod 5; the
+    # adjoint is z = (t - 1) z0 times an isomorphism, t-powers dropped
     entry = builtin("figure-eight")
     pairing = from_seifert(entry.data())
     broken = object.__new__(type(pairing))
     broken.__dict__.update(pairing.__dict__)
     broken._numer = pairing._numer.map_entries(lambda e: e * LaurentPoly(-1, (1, 2, 1)))
-    for seed in range(5):
-        results = {check: check(broken, entry, random.Random(seed), 25) for check in
-                   (check_well_defined, check_hermitian, check_nonsingular)}
-        assert results[check_well_defined].passed
-        assert results[check_hermitian].passed
-        result = results[check_nonsingular]
-        assert result.line() == ("nonsingularity: FAIL (adjoint z id with "
-                                 "z = -t^2 - t + 1 + t^-1, z and det P share a factor mod 5)")
-        assert result.counterexample.startswith(render_entry(entry))
-
-
-_EXACT_CHECKS = (check_well_defined, check_hermitian, check_nonsingular)
+    adjoint = _adjoint(broken)
+    assert check_well_defined(broken, entry, adjoint).passed
+    assert check_hermitian(broken, entry).passed
+    result = check_nonsingular(broken, entry, adjoint)
+    assert result.line() == ("nonsingularity: FAIL (Z and Y are z times invertible matrices, "
+                             "z = t^3 + t^2 - t - 1, z and det P share a factor mod 5)")
+    assert result.counterexample.startswith(render_entry(entry))
 
 
 def _certified_corpus():
@@ -148,30 +145,108 @@ def _certified_corpus():
 
 @pytest.mark.parametrize("entry", _certified_corpus(), ids=lambda e: e.name)
 def test_exact_checks_pass_with_a_certificate(entry):
-    # every exact check decides its property from a certificate it names;
-    # none falls back to sampling on a Seifert or fibred entry
+    # every exact check decides its property from a certificate it names
     data = entry.data()
     pairing = from_fibred(data) if entry.kind == "fibred" else from_seifert(data)
     n = pairing.size
-    results = [check(pairing, entry, random.Random(0), 5) for check in _EXACT_CHECKS]
+    adjoint = _adjoint(pairing)
+    results = [check_well_defined(pairing, entry, adjoint), check_hermitian(pairing, entry),
+               check_nonsingular(pairing, entry, adjoint)]
     assert all(r.passed for r in results), results
     well_defined, hermitian, nonsingular = (r.detail for r in results)
     assert well_defined == hermitian == f"{n * n} generator pairs"
-    assert "sampled" not in nonsingular
-    if entry.kind == "fibred":
-        assert nonsingular == "adjoint invertible: det Z, det Y units"
-    else:
-        # Z = (1 - t) I, and (1 - t, Delta) = Lambda as Res(1 - t, Delta) = +-Delta(1)
-        assert nonsingular == "adjoint z id with z = -t + 1, |resultant(z, det P)| = 1"
+    # Seifert: Z = (1 - t) I, and (t - 1, Delta) = Lambda as Res(t - 1, Delta) =
+    # +-Delta(1); fibred: Y = J is unimodular, so z = 1
+    z = "1" if entry.kind == "fibred" else "t - 1"
+    assert nonsingular == ("Z and Y are z times invertible matrices, "
+                           f"z = {z}, |resultant(z, det P)| = 1")
 
 
-def test_nonsingular_without_certificate_says_sampled(monkeypatch):
-    # the sampled fallback, where neither certificate applies, says so
+def test_nonsingular_without_certificate_fails_and_names_it(monkeypatch):
+    # where the resultant is left unfactored the check has no proof either
+    # way: it fails, and its detail names the certificate it lacks
     import blanchfield.verify as verify
-    monkeypatch.setattr(verify, "_generate_lambda", lambda z, delta: (None, "unknown"))
+    monkeypatch.setattr(verify, "_generate_lambda",
+                        lambda z, delta: (None, "resultant 7 not factored"))
     entry = seifert_entry(TREFOIL)
-    result = check_nonsingular(from_seifert(TREFOIL), entry, random.Random(0), 7)
-    assert result.line() == "nonsingularity: PASS (sampled, no certificate, 7 trials)"
+    pairing = from_seifert(TREFOIL)
+    result = check_nonsingular(pairing, entry, _adjoint(pairing))
+    assert result.line() == ("nonsingularity: FAIL (Z and Y are z times invertible matrices, "
+                             "z = t - 1, no certificate: resultant 7 not factored)")
+    assert result.counterexample.startswith(render_entry(entry))
+
+
+def _standard_symplectic(g, scales=None):
+    # J_std scaled by scales[k] on the k-th hyperbolic plane
+    scales = scales or [1] * g
+    rows = [[0] * (2 * g) for _ in range(2 * g)]
+    for k, c in enumerate(scales):
+        rows[2 * k][2 * k + 1], rows[2 * k + 1][2 * k] = c, -c
+    return rows
+
+
+def _symplectic_monodromy(g, seed):
+    # a product of 2g + 1 transvections x -> x + k (a^T J_std x) a, each of
+    # which preserves J_std and so every multiple c J_std
+    rng, n = random.Random(seed), 2 * g
+    j = Matrix.from_int_rows(ZZ, _standard_symplectic(g))
+    p = Matrix.identity(ZZ, n)
+    for _ in range(n + 1):
+        a = Matrix.from_int_rows(ZZ, [[rng.randint(-2, 2)] for _ in range(n)])
+        p = p + rng.choice([-1, 1]) * (a * a.transpose() * j) * p
+    return [list(row) for row in p.entries]
+
+
+def _fibred(p, j):
+    return _entry("fibred", "fibred", P=p, J=j)
+
+
+_TREFOIL_MONODROMY = [[1, -1], [1, 0]]
+_SINGULAR_FIBRED = [
+    *[(f"c={c}-g={g}-seed={seed}", _fibred(_symplectic_monodromy(g, seed),
+                                           _standard_symplectic(g, [c] * g)))
+      for c in (2, 3) for g in (1, 2) for seed in range(3)],
+    ("doubled-trefoil-fibred", _fibred(_TREFOIL_MONODROMY, [[0, 2], [-2, 0]])),
+    ("J_std+2J_std", _fibred([[int(r == c) for c in range(4)] for r in range(4)],
+                             _standard_symplectic(2, [1, 2]))),
+]
+
+
+@pytest.mark.parametrize("entry", [e for _, e in _SINGULAR_FIBRED],
+                         ids=[name for name, _ in _SINGULAR_FIBRED])
+def test_singular_fibred_forms_fail_nonsingularity_only(entry):
+    # negative controls: J not unimodular makes the fibred form singular,
+    # though it stays well-defined, sesquilinear and hermitian
+    results = {r.name: r for r in verify_entry(entry, trials=5, seed=1)}
+    nonsingular = results.pop("nonsingularity")
+    assert all(r.passed for r in results.values()), results
+    assert not nonsingular.passed
+    assert nonsingular.counterexample.startswith(render_entry(entry))
+    c = entry.data().intersection[0, 1]
+    if c == 1:  # J_std + 2 J_std: z = 1, but det J = 4 leaves det Y no unit
+        assert nonsingular.detail == \
+            "no certificate: det(Z/z) or det(Y/z) is not a unit, z = 1"
+    else:  # z = c, and det(tP - id) has ends +-1, so it is no unit mod c
+        assert nonsingular.detail == \
+            f"Z and Y are z times invertible matrices, z = {c}, z and det P share a factor mod {c}"
+
+
+@pytest.mark.parametrize("c", [1, -1])
+@pytest.mark.parametrize("g, seed", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0)])
+def test_unimodular_fibred_forms_pass(c, g, seed):
+    entry = _fibred(_symplectic_monodromy(g, seed), _standard_symplectic(g, [c] * g))
+    results = verify_entry(entry, trials=5, seed=1)
+    assert all(r.passed for r in results), results
+    assert results[3].line() == ("nonsingularity: PASS (Z and Y are z times invertible matrices, "
+                                 "z = 1, |resultant(z, det P)| = 1)")
+
+
+def test_zero_fibred_form_fails_nonsingularity():
+    # J = 0: the adjoint is zero, z = 0, and the module is nontrivial
+    entry = _fibred(_TREFOIL_MONODROMY, [[0, 0], [0, 0]])
+    result = {r.name: r for r in verify_entry(entry, trials=5, seed=1)}["nonsingularity"]
+    assert result.line() == \
+        "nonsingularity: FAIL (Z and Y are z times invertible matrices, z = 0, det P not a unit)"
 
 
 @pytest.mark.parametrize("z, delta, onto, certificate", [
@@ -294,9 +369,8 @@ def test_well_defined_and_mk_on_random_instance():
     from blanchfield.catalog import random_seifert
     data = random_seifert(3, 3, 17)
     entry = seifert_entry(data)
-    rng = random.Random(17)
-    from blanchfield.pairing import from_seifert
-    assert check_well_defined(from_seifert(data), entry, rng, 5).passed
+    pairing = from_seifert(data)
+    assert check_well_defined(pairing, entry, _adjoint(pairing)).passed
     assert check_mk(data, entry).passed
 
 
@@ -390,12 +464,15 @@ def test_seifert_verify_eliminates_presentation_once(monkeypatch, entry):
     a = entry.data().matrix.to_ring(LAURENT)
     presentation = T * a - a.transpose()
     dual_mv = a - T.conjugate() * a.transpose()
+    eye = Matrix.identity(LAURENT, a.rows)
+    mk = mk_matrix(entry.data()).mk
     adjugates, dets = _count_eliminations(monkeypatch)
     assert all(r.passed for r in verify_entry(entry, trials=3, seed=1))
     # tA - A^T once, plus the independent dual-surface cross-check
     assert adjugates == [presentation, dual_mv]
+    # nonsingularity's Z/z = -id and Y/z = t^-1 id for z = t - 1, then
     # M_K's nonsingularity check; the dual surface reads its adjugate
-    assert len(dets) == 1
+    assert dets == [-eye, T.conjugate() * eye, mk]
 
 
 def test_fibred_verify_eliminates_presentation_once(monkeypatch):
