@@ -26,7 +26,7 @@ _SUBMODULE = {name: module for module, names in {
     "laurent": "LaurentPoly",
     "matrix": "LAURENT ZZ Matrix SingularMatrixError",
     "mkform": "MKAssemblyError MKForm mk_matrix standard_symplectic symplectic_normalize",
-    "pairing": "DualSurfaceData DualSurfaceEvaluator FibredData InvariantViolation "
+    "pairing": "DualSurfaceData FibredData InvariantViolation "
                "PresentedPairing SeifertData as_laurent_vector basis_vector from_dual_surface "
                "from_fibred from_seifert kearton_value stabilize",
     "qmod": "QModLambda RationalFunction canonical_class",
@@ -36,7 +36,7 @@ _SUBMODULE = {name: module for module, names in {
 __version__ = "0.1.0"
 
 __all__ = [
-    "CatalogEntry", "CheckResult", "DualSurfaceData", "DualSurfaceEvaluator",
+    "CatalogEntry", "CheckResult", "DualSurfaceData",
     "EntryParseError", "FibredData", "IndeterminateSignatureError",
     "InvariantViolation", "LAURENT", "LaurentPoly", "MKAssemblyError",
     "MKForm", "Matrix", "PresentedPairing", "QModLambda",

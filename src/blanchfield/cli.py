@@ -14,8 +14,7 @@ from pathlib import Path
 
 from .catalog import CatalogEntry, EntryParseError, builtin, builtin_catalog, load_entry
 from .laurent import LaurentPoly
-from .pairing import (InvariantViolation, SeifertData, basis_vector,
-                      from_dual_surface, from_fibred, from_seifert)
+from .pairing import InvariantViolation, PresentedPairing, SeifertData, basis_vector
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -99,9 +98,7 @@ def cmd_alexander(args) -> int:
 
 def cmd_pairing(args) -> int:
     entry = _resolve_entry(args.entry)
-    construct = {"seifert": from_seifert, "fibred": from_fibred,
-                 "dual-surface": from_dual_surface}[entry.kind]
-    pairing = construct(entry.data())
+    pairing = PresentedPairing(entry.data())
     value, n = pairing.value, pairing.size
     if (args.v is None) != (args.w is None):
         raise InputError("--v and --w must be given together")
@@ -260,10 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (InvariantViolation, EntryParseError) as exc:
+    except (InputError, InvariantViolation, EntryParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -22,8 +22,9 @@ equals the M_K value of (X e_i, X e_j).  The test suite checks both.
 
 MKForm is presented data like SeifertData: an immutable Record whose
 presentation is M_K, with its elimination and its pairing form (N, d)
-cached on first use.  to_presented_pairing() wraps that form in a new
-PresentedPairing on each call; the form keeps no pairing.
+cached on first use.  pairing.PresentedPairing(form) is its pairing,
+module Lambda^2k/M_K(t) with -v^T M_K(t^-1)^{-1} conj(w); the form keeps
+no pairing.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import functools
 
 from .laurent import LaurentPoly
 from .matrix import LAURENT, ZZ, Matrix
-from .pairing import PresentedPairing, SeifertData, _PresentedData
+from .pairing import SeifertData, _PresentedData
 
 
 class MKAssemblyError(ArithmeticError):
@@ -162,10 +163,6 @@ class MKForm(_PresentedData):
         and det(M_K(t^-1)) are the conjugates of adj(M_K) and det(M_K)."""
         adj, det = self.adjugate
         return -adj.conjugate(), det.conjugate()
-
-    def to_presented_pairing(self) -> PresentedPairing:
-        """Module Lambda^2k/M_K(t) with pairing -v^T M_K(t^-1)^{-1} conj(w)."""
-        return PresentedPairing(self)
 
     def __repr__(self) -> str:
         return f"<MKForm 2k={self.size}>"

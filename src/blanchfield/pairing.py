@@ -33,13 +33,12 @@ written from two integers with no Laurent arithmetic: (c0, c1) is
 each entry from the coefficients c_k of adj(P)_ji as c_k - c_(k-1),
 with no polynomial product.
 
-A pairing object takes only its data object (SeifertData, FibredData,
-DualSurfaceData or mkform.MKForm) and reads data.form, so the form is
-written once, on the data it belongs to, and a pairing holds its data
-but no data object holds a pairing.  PresentedPairing decides module
-membership from data.adjugate; DualSurfaceEvaluator shares its form and
-value but not its membership test, as its N is not well-defined modulo
-the presentation in these coordinates.
+PresentedPairing, the one pairing class, takes only its data object
+(SeifertData, FibredData, DualSurfaceData or mkform.MKForm) and reads
+data.form and data.adjugate, so a pairing holds its data but no data
+object holds a pairing.  The dual-surface formula is written once, as a
+function of an elimination (adj, det) of i+ - t^{-1} i- that verify's
+specializations also call (see _dual_surface_form).
 
 For a Seifert matrix A with det A = +-1 the two theorems agree: the
 fibred data P = A^-T A, J = A - A^T have tP - id = A^-T (tA - A^T), and
@@ -223,15 +222,26 @@ class DualSurfaceData(_PresentedData):
 
     @functools.cached_property
     def form(self) -> tuple[Matrix, LaurentPoly]:
-        """(N, d) of -((i+ - t^{-1} i-)^{-1} i+ v)^T J conj(w): that is
-        v^T N conj(w) / d with N = -(adj i+)^T J over d = det."""
-        adj, det = self.adjugate
-        return (-(adj * self.iota_plus.to_ring(LAURENT)).transpose()
-                * self.intersection.to_ring(LAURENT), det)
+        """(N, d) of the dual-surface formula, from this data's elimination."""
+        return _dual_surface_form(self.adjugate, self.iota_plus, self.intersection)
 
     @property
     def size(self) -> int:
         return self.iota_plus.rows
+
+
+def _dual_surface_form(elimination: tuple[Matrix, LaurentPoly], iota_plus: Matrix,
+                       intersection: Matrix) -> tuple[Matrix, LaurentPoly]:
+    """(N, d) of -((i+ - t^{-1} i-)^{-1} i+ v)^T J conj(w) for any (adj, det)
+    with (i+ - t^{-1} i-)^{-1} = adj / det: N = -(adj i+)^T J over d = det.
+
+    The specializations (A, A^T, A - A^T) and (P, id, J) have
+    i+ - t^{-1} i- = t^{-1} Q for the presentation Q = tA - A^T or tP - id,
+    so they pass (adj Q, t^{-1} det Q) and need no elimination of their own.
+    """
+    adj, det = elimination
+    return (-(adj * iota_plus.to_ring(LAURENT)).transpose()
+            * intersection.to_ring(LAURENT), det)
 
 
 def as_laurent_vector(v: Sequence) -> tuple[LaurentPoly, ...]:
@@ -274,9 +284,11 @@ def _sesquilinear(numer: Matrix, v: Sequence, w: Sequence) -> LaurentPoly:
     return _kronecker_apply(numer, [e.conjugate() if e.coeffs else e for e in w], v)
 
 
-class _PairingForm:
-    """A Laurent numerator matrix N over one Laurent denominator d, the form
-    of data: v, w pair to the class of v^T N conj(w) / d."""
+class PresentedPairing:
+    """The pairing form N / d = data.form on the module presented by
+    P = data.presentation; membership reads data.adjugate.  On dual-surface
+    data value reads v in H_1 of the surface, as i+ v, so only
+    is_zero_element is in module coordinates there."""
 
     def __init__(self, data: _PresentedData):
         self.data = data
@@ -291,18 +303,19 @@ class _PairingForm:
         """(N, d): the pairing matrix is N / d, with N over Z[t,t^-1]."""
         return self._numer, self._denom
 
+    @property
+    def presentation(self) -> Matrix:
+        return self.data.presentation
+
     def value(self, v: Sequence, w: Sequence) -> QModLambda:
         """The pairing of two coordinate vectors, as its class in Q/Lambda."""
         return QModLambda._pair(_sesquilinear(self._numer, v, w), self._denom)
 
-
-class PresentedPairing(_PairingForm):
-    """The pairing form N / d on the module presented by data, a
-    SeifertData, FibredData or MKForm; membership reads data.adjugate."""
-
-    @property
-    def presentation(self) -> Matrix:
-        return self.data.presentation
+    def is_zero_element(self, v: Sequence) -> bool:
+        """Does v present zero, that is, does det P divide every entry of adj(P) v?"""
+        (v,) = _vectors(self.size, v)
+        adj, det = self.data.adjugate
+        return all(divides(det, e) for e in adj.mul_vec(v))
 
     @property
     def pairing_matrix(self) -> Matrix:
@@ -311,33 +324,8 @@ class PresentedPairing(_PairingForm):
         return Matrix(None, [[RationalFunction(e, self._denom) for e in row]
                              for row in self._numer.entries], cols=self.size)
 
-    def element_equal(self, v: Sequence, w: Sequence) -> bool:
-        """Do v and w present the same element of the module?"""
-        v, w = _vectors(self.size, v, w)
-        return self.is_zero_element(tuple([a - b for a, b in zip(v, w)]))
-
-    def is_zero_element(self, v: Sequence) -> bool:
-        """Does v present zero, that is, does det P divide every entry of adj(P) v?"""
-        (v,) = _vectors(self.size, v)
-        adj, det = self.data.adjugate
-        return all(divides(det, e) for e in adj.mul_vec(v))
-
     def __repr__(self) -> str:
         return f"<PresentedPairing {type(self.data).__name__} n={self.size}>"
-
-
-class DualSurfaceEvaluator(_PairingForm):
-    """Evaluator for the dual-surface pairing formula.
-
-    value(v, w) computes the Q/Lambda class of
-
-        -((i+ - t^{-1} i-)^{-1} i+ v)^T  J  conj(w)
-
-    for arbitrary coordinate vectors.  The formula computes the
-    Blanchfield pairing of the images of v and w in the Alexander
-    module; off that image the output carries no particular meaning,
-    which is the caller's concern.
-    """
 
 
 def _of_kind(data: _PresentedData, kind: type) -> _PresentedData:
@@ -370,8 +358,9 @@ def from_fibred(data: FibredData) -> PresentedPairing:
     return PresentedPairing(_of_kind(data, FibredData))
 
 
-def from_dual_surface(data: DualSurfaceData) -> DualSurfaceEvaluator:
-    return DualSurfaceEvaluator(_of_kind(data, DualSurfaceData))
+def from_dual_surface(data: DualSurfaceData) -> PresentedPairing:
+    """Blanchfield pairing of a 3-manifold from dual-surface data (i+, i-, J)."""
+    return PresentedPairing(_of_kind(data, DualSurfaceData))
 
 
 def kearton_value(data: SeifertData, v: Sequence, w: Sequence) -> RationalFunction:

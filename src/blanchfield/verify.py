@@ -15,8 +15,10 @@ Three checks decide theirs exactly that way, with no random draws:
 
 Consistency and fibred-specialization compare the dual-surface form
 with the Seifert or fibred form on every generator pair, with the same
-helper as hermitian, and mk-form compares the signatures of M_K with
-the Levine-Tristram signatures on every arc of the unit circle.
+helper as hermitian.  Both forms are read off the entry's one
+elimination, which the comparison tests (see check_consistency).
+Mk-form compares the signatures of M_K with the Levine-Tristram
+signatures on every arc of the unit circle.
 
 Sesquilinearity is the one sampled check: it evaluates seeded random
 vectors through the packed pairing kernel, and it is the only check on
@@ -40,9 +42,8 @@ from .invariants import signature_arcs
 from .laurent import LaurentPoly, divides
 from .matrix import LAURENT, ZZ, Matrix, Record
 from .mkform import mk_matrix
-from .pairing import (DualSurfaceData, DualSurfaceEvaluator, FibredData,
-                      PresentedPairing, SeifertData, basis_vector,
-                      from_dual_surface, from_fibred, from_seifert)
+from .pairing import (DualSurfaceData, FibredData, PresentedPairing, SeifertData,
+                      _dual_surface_form, basis_vector, from_seifert)
 from .qmod import QModLambda
 
 
@@ -114,9 +115,8 @@ def check_well_defined(pairing: PresentedPairing, entry: CatalogEntry,
     return CheckResult(name, True, f"{n * n} generator pairs")
 
 
-def check_sesquilinear(pairing: PresentedPairing | DualSurfaceEvaluator,
-                       entry: CatalogEntry, rng: random.Random,
-                       trials: int) -> CheckResult:
+def check_sesquilinear(pairing: PresentedPairing, entry: CatalogEntry,
+                       rng: random.Random, trials: int) -> CheckResult:
     """value(p v, q w) = p * value(v, w) * conj(q) as classes, on seeded
     random vectors: the one sampled check, and the only one on a
     dual-surface entry.  A module of rank 0 has nothing to draw, so the
@@ -328,13 +328,28 @@ def _transported(form: tuple[Matrix, LaurentPoly], x: Matrix) -> tuple[Matrix, L
     return x.transpose() * numer * x, denom
 
 
+def _specialized_dual_form(data: SeifertData | FibredData, iota_plus: Matrix,
+                           intersection: Matrix) -> tuple[Matrix, LaurentPoly]:
+    """The dual form of a specialization with i+ - t^{-1} i- = t^{-1} P for
+    the data's presentation P, from P's cached elimination."""
+    adj, det = data.adjugate
+    return _dual_surface_form((adj, LaurentPoly.t_power(-1) * det), iota_plus, intersection)
+
+
 def check_consistency(data: SeifertData, entry: CatalogEntry) -> CheckResult:
     """Dual-surface formula with (A, A^T, A - A^T) matches the Seifert formula:
-    its value of (v, w) is (Av)^T (t-1)(A - tA^T)^{-1} conj(Aw), for all v, w."""
+    its value of (v, w) is (Av)^T (t-1)(A - tA^T)^{-1} conj(Aw), for all v, w.
+
+    Both forms read the one elimination (adj P, det P) of P = tA - A^T:
+    the dual form is -t (adj P A)^T (A - A^T) / det P, and the transported
+    Seifert form minus it is -A^T (P adj P)^T / det P, which is -A^T, zero
+    in Q(t)/Lambda, when P adj P = det P * I: the check tests the shared
+    elimination.
+    """
     a = data.matrix
-    dual = DualSurfaceData(a, a.transpose(), a - a.transpose())
-    return _agree_on_generators("consistency", entry, from_dual_surface(dual).form,
-                                _transported(from_seifert(data).form, a))
+    return _agree_on_generators("consistency", entry,
+                                _specialized_dual_form(data, a, a - a.transpose()),
+                                _transported(data.form, a))
 
 
 def kearton_witness(data: SeifertData) -> tuple[tuple[int, ...], int] | None:
@@ -403,10 +418,11 @@ def check_mk(data: SeifertData, entry: CatalogEntry) -> CheckResult:
 
 
 def check_fibred_specialization(data: FibredData, entry: CatalogEntry) -> CheckResult:
-    """Dual-surface formula with (P, id, J) matches the fibred pairing."""
-    dual = DualSurfaceData(data.monodromy, Matrix.identity(ZZ, data.size), data.intersection)
+    """Dual-surface formula with (P, id, J) matches the fibred pairing; both
+    read the one elimination of tP - id, as in check_consistency."""
     return _agree_on_generators("fibred-specialization", entry,
-                                from_dual_surface(dual).form, from_fibred(data).form)
+                                _specialized_dual_form(data, data.monodromy, data.intersection),
+                                data.form)
 
 
 def verify_entry(entry: CatalogEntry, trials: int = 25,
@@ -416,12 +432,11 @@ def verify_entry(entry: CatalogEntry, trials: int = 25,
         raise ValueError(f"need at least one trial, got {trials}")
     rng = random.Random(seed)
     data = entry.data()
+    pairing = PresentedPairing(data)
     if isinstance(data, DualSurfaceData):
-        return [check_sesquilinear(from_dual_surface(data), entry, rng, trials)]
-    if isinstance(data, SeifertData):
-        pairing, exact = from_seifert(data), (check_consistency, check_mk, check_kearton)
-    else:
-        pairing, exact = from_fibred(data), (check_fibred_specialization,)
+        return [check_sesquilinear(pairing, entry, rng, trials)]
+    exact = ((check_consistency, check_mk, check_kearton) if isinstance(data, SeifertData)
+             else (check_fibred_specialization,))
     adjoint = _adjoint(pairing)
     return [check_well_defined(pairing, entry, adjoint),
             check_sesquilinear(pairing, entry, rng, trials),

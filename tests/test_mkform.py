@@ -6,7 +6,7 @@ from blanchfield.catalog import builtin, random_seifert
 from blanchfield.laurent import LaurentPoly, T
 from blanchfield.matrix import LAURENT, ZZ, Matrix
 from blanchfield.mkform import MKForm, mk_matrix, standard_symplectic, symplectic_normalize
-from blanchfield.pairing import SeifertData, basis_vector, from_seifert
+from blanchfield.pairing import PresentedPairing, SeifertData, basis_vector, from_seifert
 from blanchfield.verify import random_vector
 
 TREFOIL = SeifertData(Matrix.from_int_rows(ZZ, [[-1, 1], [0, -1]]))
@@ -88,7 +88,7 @@ def test_mk_empty():
 def test_mk_pairing_trefoil_value_and_hermitian():
     form = mk_matrix(TREFOIL)
     e1, e2 = basis_vector(2, 0), basis_vector(2, 1)
-    pairing = form.to_presented_pairing()
+    pairing = PresentedPairing(form)
     assert str(pairing.value(e1, e1)) == "(-t)/(t^2 - t + 1)"
     assert pairing.value(e1, e2) == pairing.value(e2, e1).conjugate()
 
@@ -96,12 +96,12 @@ def test_mk_pairing_trefoil_value_and_hermitian():
 def test_mk_pairing_zero_vector():
     form = mk_matrix(TREFOIL)
     zero = (LaurentPoly.zero(), LaurentPoly.zero())
-    assert form.to_presented_pairing().value(zero, basis_vector(2, 0)).is_zero()
+    assert PresentedPairing(form).value(zero, basis_vector(2, 0)).is_zero()
 
 
 def test_mk_pairing_well_defined_under_presentation_shift():
     form = mk_matrix(TREFOIL)
-    pp = form.to_presented_pairing()
+    pp = PresentedPairing(form)
     rng = random.Random(7)
     for _ in range(10):
         v, w, x = (random_vector(rng, 2) for _ in range(3))
@@ -155,9 +155,9 @@ def test_mk_block_formulas_match_qt_sum():
 
 def test_mk_presented_pairing_built_once():
     form = mk_matrix(random_seifert(2, 3, 4))
-    pp = form.to_presented_pairing()
-    # each call wraps the one form (N, d) kept on the MKForm
-    assert form.to_presented_pairing().form[0] is pp.form[0]
+    pp = PresentedPairing(form)
+    # each pairing wraps the one form (N, d) kept on the MKForm
+    assert PresentedPairing(form).form[0] is pp.form[0]
     # the numerator is -adj(M_K(t^-1)), taken as the conjugate of -adj(M_K)
     adj, det = form.mk.conjugate().adjugate()
     assert pp._numer == -adj and pp._denom == det
@@ -184,7 +184,7 @@ def _isometry_checks(data, top, bottom):
                               for j in range(n)] for i in range(n)], cols=n)
     x = scale * form.congruence.to_ring(LAURENT)
     seifert, e = from_seifert(data), [basis_vector(n, i) for i in range(n)]
-    mk = form.to_presented_pairing()
+    mk = PresentedPairing(form)
     agree = all(seifert.value(e[i], e[j]) == mk.value(x.column(i), x.column(j))
                 for i in range(n) for j in range(n))
     image = x * data.presentation

@@ -281,22 +281,16 @@ def test_generate_lambda_leaves_an_unfactored_resultant_open():
 
 
 @pytest.mark.parametrize("swap", [
-    lambda ev: {"_numer": ev._numer.map_entries(lambda e: T * e)},
-    lambda ev: {"_denom": 2 * ev._denom},
+    lambda numer, denom: (numer.map_entries(lambda e: T * e), denom),
+    lambda numer, denom: (numer, 2 * denom),
 ], ids=["value-times-t", "half-value"])
 def test_cross_denominator_checks_fail_on_broken_evaluators(monkeypatch, swap):
     # negative controls for the two checks that compare values over different
-    # denominators (dual surface against Seifert or fibred): a broken
-    # dual-surface evaluator must make both fail
+    # denominators (dual surface against Seifert or fibred): a broken shared
+    # dual-surface formula must make both fail
     import blanchfield.verify as verify
-    build = verify.from_dual_surface
-
-    def broken(data):
-        evaluator = build(data)
-        evaluator.__dict__.update(swap(evaluator))
-        return evaluator
-
-    monkeypatch.setattr(verify, "from_dual_surface", broken)
+    build = verify._dual_surface_form
+    monkeypatch.setattr(verify, "_dual_surface_form", lambda *args: swap(*build(*args)))
     fibred = builtin("trefoil-fibred")
     entry = seifert_entry(TREFOIL)
     for result, text in (
@@ -336,25 +330,47 @@ def test_consistency_fails_on_wrong_transports():
             assert result.counterexample.startswith(render_entry(entry))
 
 
-def test_consistency_fails_on_a_seifert_form_scaled_by_t(monkeypatch):
+def test_consistency_fails_on_a_seifert_form_scaled_by_t():
     # negative control on the other side of the comparison: N replaced by t N
-    import blanchfield.verify as verify
-    build = verify.from_seifert
-
-    def scaled(data):
-        pairing = build(data)
-        broken = object.__new__(type(pairing))
-        broken.__dict__.update(pairing.__dict__)
-        broken._numer = pairing._numer.map_entries(lambda e: T * e)
-        return broken
-
-    monkeypatch.setattr(verify, "from_seifert", scaled)
+    # in the data's cached form, which consistency reads
     for data in _nontrivial_corpus():
+        numer, denom = data.form
+        vars(data)["form"] = (numer.map_entries(lambda e: T * e), denom)
         result = check_consistency(data, seifert_entry(data))
         assert result.line().startswith("consistency: FAIL"), data
         # the failing pair replays as one-entry vectors after the entry
         v, w = result.counterexample.splitlines()[-2:]
         assert v.startswith("v: ") and w.startswith("w: ")
+
+
+def _perturb_adjugate(data, i, j):
+    # one entry of the cached elimination off by one, before any form reads it
+    adj, det = data.adjugate
+    rows = [list(row) for row in adj.entries]
+    rows[i][j] = rows[i][j] + 1
+    vars(data)["adjugate"] = (Matrix(LAURENT, rows, cols=adj.cols), det)
+    assert "form" not in vars(data)
+
+
+def test_specializations_fail_on_a_wrong_shared_elimination():
+    # negative controls: both forms read the one cached (adj P, det P), so
+    # consistency certifies P adj P = det P * I; a wrong entry must fail it
+    corpus = _nontrivial_corpus()
+    for data in corpus:
+        for i, j in itertools.product(range(data.size), repeat=2):
+            broken = SeifertData(data.matrix)
+            _perturb_adjugate(broken, i, j)
+            entry = seifert_entry(broken)
+            result = check_consistency(broken, entry)
+            assert result.line().startswith("consistency: FAIL"), (data, i, j)
+            assert result.counterexample.startswith(render_entry(entry))
+    fibred = builtin("trefoil-fibred")
+    for i, j in itertools.product(range(2), repeat=2):
+        broken = load_entry(render_entry(fibred)).data()
+        _perturb_adjugate(broken, i, j)
+        result = check_fibred_specialization(broken, fibred)
+        assert result.line().startswith("fibred-specialization: FAIL"), (i, j)
+        assert result.counterexample.startswith(render_entry(fibred))
 
 
 def test_verify_random_is_deterministic():
@@ -463,15 +479,14 @@ def _count_eliminations(monkeypatch):
 def test_seifert_verify_eliminates_presentation_once(monkeypatch, entry):
     a = entry.data().matrix.to_ring(LAURENT)
     presentation = T * a - a.transpose()
-    dual_mv = a - T.conjugate() * a.transpose()
     eye = Matrix.identity(LAURENT, a.rows)
     mk = mk_matrix(entry.data()).mk
     adjugates, dets = _count_eliminations(monkeypatch)
     assert all(r.passed for r in verify_entry(entry, trials=3, seed=1))
-    # tA - A^T once, plus the independent dual-surface cross-check
-    assert adjugates == [presentation, dual_mv]
+    # tA - A^T once: the dual-surface cross-check reads the same elimination
+    assert adjugates == [presentation]
     # nonsingularity's Z/z = -id and Y/z = t^-1 id for z = t - 1, then
-    # M_K's nonsingularity check; the dual surface reads its adjugate
+    # M_K's nonsingularity check
     assert dets == [-eye, T.conjugate() * eye, mk]
 
 
@@ -481,7 +496,7 @@ def test_fibred_verify_eliminates_presentation_once(monkeypatch):
     eye = Matrix.identity(LAURENT, p.rows)
     adjugates, _ = _count_eliminations(monkeypatch)
     assert all(r.passed for r in verify_entry(entry, trials=3, seed=1))
-    assert adjugates == [T * p - eye, p - T.conjugate() * eye]
+    assert adjugates == [T * p - eye]
 
 
 def test_dual_surface_verify_eliminates_once(monkeypatch):
