@@ -10,9 +10,10 @@ Fibred entries carry ``P:`` and ``J:``, dual-surface entries carry
 ``Iplus:``, ``Iminus:`` and ``J:``.  Integers are decimal digits 0-9
 with an optional leading minus; any other digit is rejected with its
 line and column.  Rows are comma-separated; whitespace is insignificant
-outside tokens.  An optional ``notes:`` line holds free text.  Matrices
-are validated against the domain invariants at load time, and the
-validated data object is kept on the entry.
+outside tokens.  An optional ``notes:`` line holds free text.  Each
+field appears at most once; a repeat is rejected with its position.
+Matrices are validated against the domain invariants at load time, and
+the validated data object is kept on the entry.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class CatalogEntry(Record):
     def matrix(self, key: str) -> Matrix:
         for k, grid in self.matrices:
             if k == key:
-                return Matrix.from_int_rows(ZZ, grid) if grid else Matrix(ZZ, (), cols=0)
+                return Matrix.from_int_rows(ZZ, grid)
         raise KeyError(key)
 
     def data(self) -> SeifertData | FibredData | DualSurfaceData:
@@ -138,11 +139,15 @@ def load_entry(data: bytes | str) -> CatalogEntry:
     """Parse and invariant-check one entry."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     reader = _Reader(text)
-    fields: dict[str, str] = {"notes": ""}
+    fields: dict[str, str] = {}
     matrices: dict[str, IntGrid] = {}
     while reader.peek():
+        start = reader.pos
         key = reader.read_key()
         if key in ("name", "notes", "kind"):
+            if key in fields:
+                reader.pos = start
+                raise reader.error(f"duplicate field {key!r}")
             fields[key] = reader.take(_LINE).strip()
             if key == "kind" and fields[key] not in KINDS:
                 raise reader.error(f"kind must be one of {', '.join(KINDS)}, "
@@ -170,7 +175,7 @@ def load_entry(data: bytes | str) -> CatalogEntry:
             f"kind {kind} does not use matrix {sorted(extra)[0]!r}", 1, 1)
     entry = CatalogEntry(name=fields["name"], kind=kind,
                          matrices=tuple((k, matrices[k]) for k in wanted),
-                         notes=fields["notes"])
+                         notes=fields.get("notes", ""))
     entry.data()  # raises InvariantViolation naming the failed invariant
     return entry
 
@@ -241,4 +246,4 @@ def random_seifert(genus: int, coeff_bound: int, seed: int) -> SeifertData:
             rows[i][j] = rows[j][i] = v
     for i in range(genus):
         rows[i][genus + i] += 1
-    return SeifertData(Matrix.from_int_rows(ZZ, rows) if n else Matrix(ZZ, (), cols=0))
+    return SeifertData(Matrix.from_int_rows(ZZ, rows))

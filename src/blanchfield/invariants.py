@@ -65,7 +65,7 @@ class IndeterminateSignatureError(ArithmeticError):
 
 def alexander_polynomial(data: SeifertData) -> LaurentPoly:
     """det(tA - A^T), normalized so Delta(t) = Delta(1/t) and Delta(1) = 1."""
-    det = data.adjugate[1]
+    det = data.determinant()
     if det.coeffs != tuple(reversed(det.coeffs)):
         raise ArithmeticError("det(tA - A^T) is not palindromic; invalid input")
     center = det.val + det.degree()
@@ -290,12 +290,11 @@ def _steps(owner: SeifertData | MKForm) -> _SignatureSteps:
     if steps is None:
         if isinstance(owner, SeifertData):
             a = owner.matrix.entries
-            jumps = owner.adjugate[1]
             entries = [[LaurentPoly._of(-1, (-a[j][i], a[i][j] + a[j][i], -a[i][j]))
                         for j in range(len(a))] for i in range(len(a))]
         else:
-            jumps, entries = owner.determinant(), owner.mk.entries
-        steps = vars(owner)["_signature_steps"] = _SignatureSteps(jumps, entries)
+            entries = owner.mk.entries
+        steps = vars(owner)["_signature_steps"] = _SignatureSteps(owner.determinant(), entries)
     return steps
 
 

@@ -159,13 +159,14 @@ class LaurentPoly:
 
     _TERM = re.compile(
         r"\s*(?P<sign>[+-])?\s*"
-        r"(?:(?P<coef>\d+)\s*(?P<mon1>t(?:\^(?P<exp1>-?\d+))?)?"
-        r"|(?P<mon2>t(?:\^(?P<exp2>-?\d+))?))")
+        r"(?:(?P<coef>[0-9]+)\s*(?P<mon1>t(?:\^(?P<exp1>-?[0-9]+))?)?"
+        r"|(?P<mon2>t(?:\^(?P<exp2>-?[0-9]+))?))")
 
     @classmethod
     def parse(cls, text: str) -> LaurentPoly:
-        """Parse the rendering grammar, e.g. ``t^2 - t + 1`` or ``-3t^-2``;
-        an exponent beyond +-MAX_EXPONENT raises ValueError.
+        """Parse the rendering grammar, e.g. ``t^2 - t + 1`` or ``-3t^-2``,
+        with the digits 0-9 only; an exponent beyond +-MAX_EXPONENT raises
+        ValueError.
 
         >>> LaurentPoly.parse('t - 1 + t^-1')
         LaurentPoly('t - 1 + t^-1')

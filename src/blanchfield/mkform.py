@@ -150,11 +150,8 @@ class MKForm(_PresentedData):
     def presentation(self) -> Matrix:
         return self.mk
 
-    @property
-    def size(self) -> int:
-        return self.mk.rows
-
     def determinant(self) -> LaurentPoly:
+        """det M_K, as taken by the constructor: no elimination."""
         return self._det
 
     @functools.cached_property

@@ -89,7 +89,9 @@ class _PresentedData(Record):
     An immutable Record: subclasses name their fields and define the
     property presentation and the cached property form, the pairing
     (N, d) read off the elimination; both are computed on first use and
-    kept in the instance dict, out of equality.
+    kept in the instance dict, out of equality.  Every kind is read
+    through the same interface: presentation, form, adjugate (adj P,
+    det P), size (the rows of P) and determinant() (det P).
     """
 
     presentation: Matrix
@@ -98,6 +100,14 @@ class _PresentedData(Record):
     def adjugate(self) -> tuple[Matrix, LaurentPoly]:
         """(adj P, det P) of the presentation P, from one elimination."""
         return self.presentation.adjugate()
+
+    @property
+    def size(self) -> int:
+        return self.presentation.rows
+
+    def determinant(self) -> LaurentPoly:
+        """det P of the presentation P."""
+        return self.adjugate[1]
 
 
 class SeifertData(_PresentedData):
@@ -131,14 +141,6 @@ class SeifertData(_PresentedData):
         adj, det = self.adjugate
         return adj.transpose().map_entries(_one_minus_t), det
 
-    @property
-    def genus(self) -> int:
-        return self.matrix.rows // 2
-
-    @property
-    def size(self) -> int:
-        return self.matrix.rows
-
     def __repr__(self) -> str:
         return f"SeifertData({self.matrix})"
 
@@ -169,7 +171,7 @@ class FibredData(_PresentedData):
         Its determinant has constant term det(-id) = +-1, so it never
         vanishes.
         """
-        n = self.size
+        n = self.monodromy.rows
         return _pencil([[-(i == j) for j in range(n)] for i in range(n)], self.monodromy)
 
     @functools.cached_property
@@ -178,10 +180,6 @@ class FibredData(_PresentedData):
         the conjugate of adj(tP - id)."""
         adj, det = self.adjugate
         return self.intersection.to_ring(LAURENT) * adj.conjugate(), det.conjugate()
-
-    @property
-    def size(self) -> int:
-        return self.monodromy.rows
 
 
 class DualSurfaceData(_PresentedData):
@@ -224,10 +222,6 @@ class DualSurfaceData(_PresentedData):
     def form(self) -> tuple[Matrix, LaurentPoly]:
         """(N, d) of the dual-surface formula, from this data's elimination."""
         return _dual_surface_form(self.adjugate, self.iota_plus, self.intersection)
-
-    @property
-    def size(self) -> int:
-        return self.iota_plus.rows
 
 
 def _dual_surface_form(elimination: tuple[Matrix, LaurentPoly], iota_plus: Matrix,

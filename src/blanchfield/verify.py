@@ -78,7 +78,7 @@ def format_vector(v: Sequence[LaurentPoly]) -> str:
 
 
 def seifert_entry(data: SeifertData, name: str = "counterexample") -> CatalogEntry:
-    return _entry(name, "seifert", A=[list(r) for r in data.matrix.entries] or [])
+    return _entry(name, "seifert", A=data.matrix.entries)
 
 
 def _counterexample(entry: CatalogEntry, **vectors) -> str:
@@ -208,7 +208,7 @@ def check_nonsingular(pairing: PresentedPairing, entry: CatalogEntry,
     if z and not all(_divided(m, z).det().is_unit() for m in z_y):
         return CheckResult(name, False, f"no certificate: det(Z/z) or det(Y/z) is not "
                            f"a unit, z = {z}", _counterexample(entry))
-    onto, certificate = _generate_lambda(z, pairing.data.adjugate[1])
+    onto, certificate = _generate_lambda(z, pairing.data.determinant())
     detail = f"Z and Y are z times invertible matrices, z = {z}, " + \
         (certificate if onto is not None else f"no certificate: {certificate}")
     return CheckResult(name, bool(onto), detail, None if onto else _counterexample(entry))
@@ -385,7 +385,7 @@ def check_kearton(data: SeifertData, entry: CatalogEntry) -> CheckResult:
         x, j = witness
         return CheckResult("kearton-ill-defined", True,
                            f"WITNESS FOUND x={list(x)}, w=e{j + 1}")
-    if data.adjugate[1].is_unit():
+    if data.determinant().is_unit():
         return CheckResult("kearton-ill-defined", True,
                            "no witness, the Alexander module is trivial")
     return CheckResult("kearton-ill-defined", False,
@@ -402,7 +402,7 @@ def check_mk(data: SeifertData, entry: CatalogEntry) -> CheckResult:
     except (ArithmeticError, ValueError) as exc:
         return CheckResult("mk-form", False, f"assembly failed: {exc}",
                            _counterexample(entry))
-    if not form.determinant().is_unit_multiple_of(data.adjugate[1]):
+    if not form.determinant().is_unit_multiple_of(data.determinant()):
         return CheckResult("mk-form", False,
                            "det(M_K) is not a unit multiple of det(tA - A^T)",
                            _counterexample(entry))

@@ -64,6 +64,19 @@ def test_non_ascii_digits_are_parse_errors():
         load_entry("name: x\nkind: seifert\nA: [[1, \u0663]]\n")
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("name: a\nkind: seifert\nkind: fibred\nA: [[-1, 1], [0, -1]]\n", "duplicate field 'kind'", (3, 1)),
+    ("name: a\nkind: seifert\nA: [[-1, 1], [0, -1]]\n  name: b\n", "duplicate field 'name'", (4, 3)),
+    ("notes: x\nname: a\nkind: seifert\nA: []\nnotes: x\n", "duplicate field 'notes'", (5, 1)),
+    (TREFOIL_TEXT + "A: [[-1, 1], [0, -1]]\n", "duplicate matrix 'A'", (4, 3)),
+], ids=["kind", "name", "notes", "matrix"])
+def test_repeated_field_is_parse_error(text, message, position):
+    # the first copy of a field is not silently overridden by a later one
+    with pytest.raises(EntryParseError, match=message) as exc:
+        load_entry(text)
+    assert (exc.value.line, exc.value.col) == position
+
+
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="int() has no digit limit here")
 def test_overlong_integer_is_parse_error():
@@ -93,12 +106,14 @@ def test_round_trip_builtins():
 
 
 def test_round_trip_random_entries():
-    for seed in range(5):
-        data = random_seifert(2, 3, seed)
+    for genus, seed in [(0, 0)] + [(2, seed) for seed in range(5)]:
+        data = random_seifert(genus, 3, seed)
         entry = CatalogEntry(
             name=f"rnd-{seed}", kind="seifert",
             matrices=(("A", data.matrix.entries),), notes="generated")
         assert load_entry(render_entry(entry)) == entry
+        assert entry.matrix("A") == data.matrix
+    assert random_seifert(0, 3, 0).matrix == Matrix(ZZ, (), cols=0)
 
 
 def test_builtin_pins():

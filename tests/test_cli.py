@@ -99,6 +99,12 @@ def test_pairing_at_the_exponent_bound_canonicalises_in_linear_work(capsys, monk
     assert sum(canon) < 0.1
 
 
+def test_pairing_non_ascii_digit_is_input_error(capsys):
+    code, out, err = run(capsys, "pairing", "trefoil", "--v", "\u0663,0", "--w", "1,0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad vector '\u0663,0': ")
+
+
 def test_pairing_dimension_mismatch_is_input_error(capsys):
     code, _, err = run(capsys, "pairing", "trefoil", "--v", "1", "--w", "1,0")
     assert code == 2

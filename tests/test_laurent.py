@@ -85,6 +85,13 @@ def test_parse_rejects_garbage():
             LaurentPoly.parse(bad)
 
 
+@pytest.mark.parametrize("text", ["\u0663", "\u0663t", "t^\u0663", "1 - t^-\u0663", "\uff11 + t"])
+def test_parse_rejects_non_ascii_digits(text):
+    # coefficients and exponents are written with 0-9 only, as in entry files
+    with pytest.raises(ValueError, match="bad Laurent polynomial"):
+        LaurentPoly.parse(text)
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_parse_bounds_the_exponent(sign):
     # at the limit parse accepts; past it, it raises before allocating

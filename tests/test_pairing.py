@@ -9,9 +9,9 @@ import pytest
 from blanchfield.catalog import builtin, builtin_catalog, random_seifert
 from blanchfield.laurent import LaurentPoly, T
 from blanchfield.matrix import LAURENT, ZZ, Matrix, _elimination_width
-from blanchfield.mkform import mk_matrix
+from blanchfield.mkform import MKForm, mk_matrix
 from blanchfield.pairing import (DualSurfaceData, FibredData, InvariantViolation,
-                                 PresentedPairing, SeifertData, _one_minus_t,
+                                 PresentedPairing, SeifertData, _one_minus_t, _PresentedData,
                                  as_laurent_vector, basis_vector, from_dual_surface,
                                  from_fibred, from_seifert, kearton_value, stabilize)
 from blanchfield.qmod import canonical_class
@@ -43,6 +43,33 @@ def test_fibred_data_preconditions_reported_individually():
     with pytest.raises(InvariantViolation, match="P\\^T J P"):
         # a swap has determinant -1 and reverses the symplectic form
         FibredData(Matrix.from_int_rows(ZZ, [[0, 1], [1, 0]]), j)
+
+
+EMPTY = Matrix(ZZ, (), cols=0)
+
+
+@pytest.mark.parametrize("data", [e.data() for e in builtin_catalog()]
+                         + [SeifertData(EMPTY), FibredData(EMPTY, EMPTY)],
+                         ids=[e.name for e in builtin_catalog()] + ["seifert-0x0", "fibred-0x0"])
+def test_every_kind_reads_size_and_determinant_off_its_presentation(data):
+    assert data.size == data.presentation.rows
+    assert data.determinant() == data.adjugate[1]
+
+
+def test_size_and_determinant_are_defined_once():
+    for cls in (SeifertData, FibredData, DualSurfaceData, MKForm):
+        assert "size" not in vars(cls)
+    for cls in (SeifertData, FibredData, DualSurfaceData):
+        assert "determinant" not in vars(cls)
+    assert {"size", "determinant"} <= set(vars(_PresentedData))
+
+
+def test_mk_determinant_is_the_constructor_det_without_elimination():
+    form = mk_matrix(builtin("cinquefoil").data())
+    assert form.determinant() == form.mk.det()
+    assert "adjugate" not in vars(form)
+    assert form.size == form.presentation.rows == 4
+    assert form.determinant() == form.adjugate[1]
 
 
 def test_from_seifert_trefoil_matrices():
