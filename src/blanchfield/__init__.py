@@ -26,9 +26,8 @@ _SUBMODULE = {name: module for module, names in {
     "laurent": "LaurentPoly",
     "matrix": "LAURENT ZZ Matrix SingularMatrixError",
     "mkform": "MKAssemblyError MKForm mk_matrix standard_symplectic symplectic_normalize",
-    "pairing": "DualSurfaceData FibredData InvariantViolation "
-               "PresentedPairing SeifertData as_laurent_vector basis_vector from_dual_surface "
-               "from_fibred from_seifert kearton_value stabilize",
+    "pairing": "DualSurfaceData FibredData InvariantViolation SeifertData as_laurent_vector "
+               "basis_vector from_dual_surface from_fibred from_seifert kearton_value stabilize",
     "qmod": "QModLambda RationalFunction canonical_class",
     "verify": "CheckResult kearton_witness verify_entry verify_random",
 }.items() for name in names.split()}
@@ -39,7 +38,7 @@ __all__ = [
     "CatalogEntry", "CheckResult", "DualSurfaceData",
     "EntryParseError", "FibredData", "IndeterminateSignatureError",
     "InvariantViolation", "LAURENT", "LaurentPoly", "MKAssemblyError",
-    "MKForm", "Matrix", "PresentedPairing", "QModLambda",
+    "MKForm", "Matrix", "QModLambda",
     "RationalFunction", "SeifertData", "SingularMatrixError", "ZZ",
     "alexander_polynomial", "as_laurent_vector", "basis_vector", "builtin",
     "builtin_catalog", "canonical_class", "from_dual_surface", "from_fibred",

@@ -18,6 +18,9 @@ def as_ints(coeffs, what: str = "polynomial coefficient") -> tuple:
     an integer (True, 2.0 and numpy integers pass; 0.4 and 1/3 do not)."""
     out = []
     for c in coeffs:
+        if type(c) is int:
+            out.append(c)
+            continue
         try:
             i = int(c)
         except (TypeError, ValueError, OverflowError):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .catalog import CatalogEntry, EntryParseError, builtin, builtin_catalog, load_entry
 from .laurent import LaurentPoly
-from .pairing import InvariantViolation, PresentedPairing, SeifertData, basis_vector
+from .pairing import InvariantViolation, SeifertData, basis_vector
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -98,8 +98,8 @@ def cmd_alexander(args) -> int:
 
 def cmd_pairing(args) -> int:
     entry = _resolve_entry(args.entry)
-    pairing = PresentedPairing(entry.data())
-    value, n = pairing.value, pairing.size
+    data = entry.data()
+    value, n = data.value, data.size
     if (args.v is None) != (args.w is None):
         raise InputError("--v and --w must be given together")
     if args.v is not None:

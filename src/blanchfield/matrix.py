@@ -66,6 +66,7 @@ import math
 import operator
 from typing import Callable, Sequence
 
+from ._polyops import as_ints
 from .laurent import LaurentPoly
 
 
@@ -148,7 +149,9 @@ class Matrix(Record):
 
     @classmethod
     def from_int_rows(cls, ring: Ring, rows: Sequence[Sequence[int]]) -> Matrix:
-        return cls(ring, [[ring.from_int(int(x)) for x in row] for row in rows])
+        """TypeError names an entry whose value is not an integer."""
+        return cls(ring, [[ring.from_int(x) for x in as_ints(row, "matrix entry")]
+                          for row in rows])
 
     def is_square(self) -> bool:
         return self.rows == self.cols

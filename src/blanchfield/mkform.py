@@ -22,9 +22,9 @@ equals the M_K value of (X e_i, X e_j).  The test suite checks both.
 
 MKForm is presented data like SeifertData: an immutable Record whose
 presentation is M_K, with its elimination and its pairing form (N, d)
-cached on first use.  pairing.PresentedPairing(form) is its pairing,
-module Lambda^2k/M_K(t) with -v^T M_K(t^-1)^{-1} conj(w); the form keeps
-no pairing.
+cached on first use.  It presents its own pairing, module
+Lambda^2k/M_K(t) with -v^T M_K(t^-1)^{-1} conj(w): form.value,
+form.is_zero_element and form.pairing_matrix.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ builds its presentation matrix (tA - A^T, tP - id, i+ - t^{-1} i-), its
 fraction-free elimination (adj, det) over Z[t,t^-1] and its pairing form
 (N, d) from that elimination once, on first use (the elimination of
 DualSurfaceData at construction, as its nonsingularity check); every
-pairing, check and witness built from the same data object reads them.
+value, check and witness that reads the same data object shares them.
 Each presentation is linear in t, so each entry t^s (c0 + c1 t) is
 written from two integers with no Laurent arithmetic: (c0, c1) is
 (-a_ji, a_ij), (-delta_ij, p_ij) or (-i-_ij, i+_ij), with s = 0, 0 or
@@ -33,12 +33,14 @@ written from two integers with no Laurent arithmetic: (c0, c1) is
 each entry from the coefficients c_k of adj(P)_ji as c_k - c_(k-1),
 with no polynomial product.
 
-PresentedPairing, the one pairing class, takes only its data object
-(SeifertData, FibredData, DualSurfaceData or mkform.MKForm) and reads
-data.form and data.adjugate, so a pairing holds its data but no data
-object holds a pairing.  The dual-surface formula is written once, as a
-function of an elimination (adj, det) of i+ - t^{-1} i- that verify's
-specializations also call (see _dual_surface_form).
+The data presents its own pairing: value, is_zero_element and
+pairing_matrix are defined once, on the base _PresentedData, and read
+only form and adjugate, so SeifertData, FibredData, DualSurfaceData and
+mkform.MKForm each answer for the pairing they fix.  from_seifert,
+from_fibred and from_dual_surface check the kind and return the data
+itself.  The dual-surface formula is written once, as a function of an
+elimination (adj, det) of i+ - t^{-1} i- that verify's specializations
+also call (see _dual_surface_form).
 
 For a Seifert matrix A with det A = +-1 the two theorems agree: the
 fibred data P = A^-T A, J = A - A^T have tP - id = A^-T (tA - A^T), and
@@ -51,6 +53,7 @@ from __future__ import annotations
 import functools
 from typing import Sequence
 
+from ._polyops import as_ints
 from .laurent import LaurentPoly, divides
 from .matrix import LAURENT, ZZ, Matrix, Record, SingularMatrixError, _kronecker_apply
 from .qmod import QModLambda, RationalFunction
@@ -84,17 +87,22 @@ def _pencil(lo: Sequence[Sequence[int]], hi: Matrix, val: int = 0) -> Matrix:
 
 
 class _PresentedData(Record):
-    """Input data whose Alexander module has a square presentation matrix.
+    """Input data whose Alexander module has a square presentation matrix,
+    with the Blanchfield pairing it presents.
 
     An immutable Record: subclasses name their fields and define the
     property presentation and the cached property form, the pairing
     (N, d) read off the elimination; both are computed on first use and
     kept in the instance dict, out of equality.  Every kind is read
     through the same interface: presentation, form, adjugate (adj P,
-    det P), size (the rows of P) and determinant() (det P).
+    det P), size (the rows of P), determinant() (det P), and the pairing
+    N / d itself: value, is_zero_element and pairing_matrix.  On
+    dual-surface data value reads v in H_1 of the surface, as i+ v, so
+    only is_zero_element is in module coordinates there.
     """
 
     presentation: Matrix
+    form: tuple[Matrix, LaurentPoly]
 
     @functools.cached_property
     def adjugate(self) -> tuple[Matrix, LaurentPoly]:
@@ -108,6 +116,25 @@ class _PresentedData(Record):
     def determinant(self) -> LaurentPoly:
         """det P of the presentation P."""
         return self.adjugate[1]
+
+    def value(self, v: Sequence, w: Sequence) -> QModLambda:
+        """The pairing of two coordinate vectors, as its class in Q/Lambda."""
+        numer, denom = self.form
+        return QModLambda._pair(_sesquilinear(numer, v, w), denom)
+
+    def is_zero_element(self, v: Sequence) -> bool:
+        """Does v present zero, that is, does det P divide every entry of adj(P) v?"""
+        (v,) = _vectors(self.size, v)
+        adj, det = self.adjugate
+        return all(divides(det, e) for e in adj.mul_vec(v))
+
+    @property
+    def pairing_matrix(self) -> Matrix:
+        """The entries N_ij / d of form as reduced pairs, over no ring; kept
+        only for the benchmark oracle, which will read form instead."""
+        numer, denom = self.form
+        return Matrix(None, [[RationalFunction(e, denom) for e in row]
+                             for row in numer.entries], cols=numer.cols)
 
 
 class SeifertData(_PresentedData):
@@ -259,6 +286,9 @@ def as_laurent_vector(v: Sequence) -> tuple[LaurentPoly, ...]:
 
 
 def basis_vector(n: int, i: int) -> tuple[LaurentPoly, ...]:
+    """The i-th standard basis vector of Lambda^n, 0 <= i < n."""
+    if not 0 <= i < n:
+        raise ValueError(f"basis index {i} out of range for length {n}")
     return tuple(LaurentPoly.one() if j == i else LaurentPoly.zero()
                  for j in range(n))
 
@@ -278,50 +308,6 @@ def _sesquilinear(numer: Matrix, v: Sequence, w: Sequence) -> LaurentPoly:
     return _kronecker_apply(numer, [e.conjugate() if e.coeffs else e for e in w], v)
 
 
-class PresentedPairing:
-    """The pairing form N / d = data.form on the module presented by
-    P = data.presentation; membership reads data.adjugate.  On dual-surface
-    data value reads v in H_1 of the surface, as i+ v, so only
-    is_zero_element is in module coordinates there."""
-
-    def __init__(self, data: _PresentedData):
-        self.data = data
-        self._numer, self._denom = data.form
-
-    @property
-    def size(self) -> int:
-        return self._numer.rows
-
-    @property
-    def form(self) -> tuple[Matrix, LaurentPoly]:
-        """(N, d): the pairing matrix is N / d, with N over Z[t,t^-1]."""
-        return self._numer, self._denom
-
-    @property
-    def presentation(self) -> Matrix:
-        return self.data.presentation
-
-    def value(self, v: Sequence, w: Sequence) -> QModLambda:
-        """The pairing of two coordinate vectors, as its class in Q/Lambda."""
-        return QModLambda._pair(_sesquilinear(self._numer, v, w), self._denom)
-
-    def is_zero_element(self, v: Sequence) -> bool:
-        """Does v present zero, that is, does det P divide every entry of adj(P) v?"""
-        (v,) = _vectors(self.size, v)
-        adj, det = self.data.adjugate
-        return all(divides(det, e) for e in adj.mul_vec(v))
-
-    @property
-    def pairing_matrix(self) -> Matrix:
-        """The entries N_ij / d of form as reduced pairs, over no ring; kept
-        only for the benchmark oracle, which will read form instead."""
-        return Matrix(None, [[RationalFunction(e, self._denom) for e in row]
-                             for row in self._numer.entries], cols=self.size)
-
-    def __repr__(self) -> str:
-        return f"<PresentedPairing {type(self.data).__name__} n={self.size}>"
-
-
 def _of_kind(data: _PresentedData, kind: type) -> _PresentedData:
     """data itself, or TypeError unless it is a kind instance."""
     if not isinstance(data, kind):
@@ -329,12 +315,12 @@ def _of_kind(data: _PresentedData, kind: type) -> _PresentedData:
     return data
 
 
-def from_seifert(data: SeifertData) -> PresentedPairing:
-    """Blanchfield pairing of a knot from its Seifert matrix.
+def from_seifert(data: SeifertData) -> SeifertData:
+    """Blanchfield pairing of a knot from its Seifert matrix: the data itself.
 
     Module Lambda^2g/(tA - A^T); pairing (v, w) -> v^T (t-1)(A - tA^T)^{-1} conj(w).
     """
-    return PresentedPairing(_of_kind(data, SeifertData))
+    return _of_kind(data, SeifertData)
 
 
 def _one_minus_t(e: LaurentPoly) -> LaurentPoly:
@@ -344,17 +330,18 @@ def _one_minus_t(e: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._of(e.val, [a - b for a, b in zip(c + (0,), (0,) + c)])
 
 
-def from_fibred(data: FibredData) -> PresentedPairing:
-    """Blanchfield pairing of a fibred 3-manifold from (P, J).
+def from_fibred(data: FibredData) -> FibredData:
+    """Blanchfield pairing of a fibred 3-manifold from (P, J): the data itself.
 
     Module Lambda^k/(tP - id); pairing (v, w) -> v^T J (t^{-1}P - id)^{-1} conj(w).
     """
-    return PresentedPairing(_of_kind(data, FibredData))
+    return _of_kind(data, FibredData)
 
 
-def from_dual_surface(data: DualSurfaceData) -> PresentedPairing:
-    """Blanchfield pairing of a 3-manifold from dual-surface data (i+, i-, J)."""
-    return PresentedPairing(_of_kind(data, DualSurfaceData))
+def from_dual_surface(data: DualSurfaceData) -> DualSurfaceData:
+    """Blanchfield pairing of a 3-manifold from dual-surface data (i+, i-, J):
+    the data itself."""
+    return _of_kind(data, DualSurfaceData)
 
 
 def kearton_value(data: SeifertData, v: Sequence, w: Sequence) -> RationalFunction:
@@ -365,8 +352,8 @@ def kearton_value(data: SeifertData, v: Sequence, w: Sequence) -> RationalFuncti
     the value by something outside Z[t,t^-1], which is the point of the
     negative well-definedness test.
     """
-    # (t-1) adj(tA - A^T) over det is -N^T / d for the N / d of from_seifert
-    numer, denom = from_seifert(data).form
+    # (t-1) adj(tA - A^T) over det is -N^T / d for the Seifert form N / d
+    numer, denom = _of_kind(data, SeifertData).form
     return RationalFunction(-_sesquilinear(numer.transpose(), v, w), denom)
 
 
@@ -379,7 +366,7 @@ def stabilize(data: SeifertData, row: Sequence[int], kind: str) -> SeifertData:
     for kind "lower" the data enters the new row and the 1 sits below.
     """
     n = data.size
-    row = [int(x) for x in row]
+    row = as_ints(row, "enlargement entry")
     if len(row) != n:
         raise ValueError(f"enlargement data must have length {n}")
     if kind not in ("upper", "lower"):

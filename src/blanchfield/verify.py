@@ -1,7 +1,8 @@
 """Executable property checks for presented pairings.
 
-A pairing of a knot or fibred 3-manifold is a matrix form N / d on the
-module presented by P, v, w -> v^T N conj(w) / d, so each defining
+Each check takes the entry's data object, which presents its own
+pairing: a matrix form N / d = data.form on the module presented by
+P = data.presentation, v, w -> v^T N conj(w) / d.  So each defining
 property holds on all vectors exactly when it holds on generator pairs.
 Three checks decide theirs exactly that way, with no random draws:
 
@@ -42,8 +43,8 @@ from .invariants import signature_arcs
 from .laurent import LaurentPoly, divides
 from .matrix import LAURENT, ZZ, Matrix, Record
 from .mkform import mk_matrix
-from .pairing import (DualSurfaceData, FibredData, PresentedPairing, SeifertData,
-                      _dual_surface_form, basis_vector, from_seifert)
+from .pairing import (DualSurfaceData, FibredData, SeifertData, _dual_surface_form,
+                      _PresentedData, basis_vector)
 from .qmod import QModLambda
 
 
@@ -88,7 +89,7 @@ def _counterexample(entry: CatalogEntry, **vectors) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_well_defined(pairing: PresentedPairing, entry: CatalogEntry,
+def check_well_defined(data: _PresentedData, entry: CatalogEntry,
                        adjoint: tuple[Matrix, Matrix]) -> CheckResult:
     """The form N / d vanishes when either vector presents zero.
 
@@ -96,12 +97,12 @@ def check_well_defined(pairing: PresentedPairing, entry: CatalogEntry,
     value(v, P x) = v^T (N conj(P)) conj(x) / d, so the form vanishes on
     the image of the presentation P in either slot, for all vectors,
     exactly when d divides every entry of P^T N and of N conj(P), the
-    pair adjoint = _adjoint(pairing).
+    pair adjoint = _adjoint(data).
     """
-    name, n = "well-definedness", pairing.size
+    name, n = "well-definedness", data.size
     if n == 0:
         return CheckResult(name, True, "vacuous for genus 0")
-    pres, denom = pairing.presentation, pairing.form[1]
+    pres, denom = data.presentation, data.form[1]
     left, right = adjoint
     for i, j in itertools.product(range(n), repeat=2):
         if not divides(denom, left[i, j]):
@@ -115,26 +116,26 @@ def check_well_defined(pairing: PresentedPairing, entry: CatalogEntry,
     return CheckResult(name, True, f"{n * n} generator pairs")
 
 
-def check_sesquilinear(pairing: PresentedPairing, entry: CatalogEntry,
+def check_sesquilinear(data: _PresentedData, entry: CatalogEntry,
                        rng: random.Random, trials: int) -> CheckResult:
     """value(p v, q w) = p * value(v, w) * conj(q) as classes, on seeded
     random vectors: the one sampled check, and the only one on a
     dual-surface entry.  A module of rank 0 has nothing to draw, so the
     check is vacuous there."""
-    name, n = "sesquilinearity", pairing.size
+    name, n = "sesquilinearity", data.size
     if n == 0:
         return CheckResult(name, True, "vacuous for genus 0")
     for _ in range(trials):
         v, w = random_vector(rng, n), random_vector(rng, n)
         p, q = random_laurent(rng), random_laurent(rng)
-        lhs = pairing.value(tuple(p * e for e in v), tuple(q * e for e in w))
-        if lhs != pairing.value(v, w) * (p * q.conjugate()):
+        lhs = data.value(tuple(p * e for e in v), tuple(q * e for e in w))
+        if lhs != data.value(v, w) * (p * q.conjugate()):
             return CheckResult(name, False, f"fails for p={p}, q={q}",
                                _counterexample(entry, v=v, w=w, p=(p,), q=(q,)))
     return CheckResult(name, True, f"{trials} trials")
 
 
-def check_hermitian(pairing: PresentedPairing, entry: CatalogEntry) -> CheckResult:
+def check_hermitian(data: _PresentedData, entry: CatalogEntry) -> CheckResult:
     """value(v, w) equals the conjugate class of value(w, v).
 
     Exact, on generators: the conjugate of value(w, v) is
@@ -142,12 +143,12 @@ def check_hermitian(pairing: PresentedPairing, entry: CatalogEntry) -> CheckResu
     exactly when it agrees with conj(N)^T / conj(d) on every generator
     pair.
     """
-    numer, denom = pairing.form
+    numer, denom = data.form
     return _agree_on_generators("hermitian", entry, (numer, denom),
                                 (numer.conjugate_transpose(), denom.conjugate()))
 
 
-def check_nonsingular(pairing: PresentedPairing, entry: CatalogEntry,
+def check_nonsingular(data: _PresentedData, entry: CatalogEntry,
                       adjoint: tuple[Matrix, Matrix]) -> CheckResult:
     """The adjoint w -> value(-, w), from the module H = Lambda^n / P Lambda^n
     to Hom(H, Q(t)/Lambda), is an isomorphism.
@@ -196,10 +197,10 @@ def check_nonsingular(pairing: PresentedPairing, entry: CatalogEntry,
         and so is no unit mod a prime of c; any other fails for want of
         a certificate.
     """
-    name, n = "nonsingularity", pairing.size
+    name, n = "nonsingularity", data.size
     if n == 0:
         return CheckResult(name, True, "vacuous for genus 0")
-    denom = pairing.form[1]
+    denom = data.form[1]
     z_y = [_divided(m, denom) for m in adjoint]
     if None in z_y:
         return CheckResult(name, False, "the form is not well-defined, so it has no adjoint",
@@ -208,16 +209,16 @@ def check_nonsingular(pairing: PresentedPairing, entry: CatalogEntry,
     if z and not all(_divided(m, z).det().is_unit() for m in z_y):
         return CheckResult(name, False, f"no certificate: det(Z/z) or det(Y/z) is not "
                            f"a unit, z = {z}", _counterexample(entry))
-    onto, certificate = _generate_lambda(z, pairing.data.determinant())
+    onto, certificate = _generate_lambda(z, data.determinant())
     detail = f"Z and Y are z times invertible matrices, z = {z}, " + \
         (certificate if onto is not None else f"no certificate: {certificate}")
     return CheckResult(name, bool(onto), detail, None if onto else _counterexample(entry))
 
 
-def _adjoint(pairing: PresentedPairing) -> tuple[Matrix, Matrix]:
-    """(P^T N, N conj(P)) of the pairing's presentation P and form N / d:
+def _adjoint(data: _PresentedData) -> tuple[Matrix, Matrix]:
+    """(P^T N, N conj(P)) of the data's presentation P and form N / d:
     well-definedness and nonsingularity read both."""
-    pres, numer = pairing.presentation, pairing.form[0]
+    pres, numer = data.presentation, data.form[0]
     return pres.transpose() * numer, numer * pres.conjugate()
 
 
@@ -364,7 +365,7 @@ def kearton_witness(data: SeifertData) -> tuple[tuple[int, ...], int] | None:
     matrix, or None when det(tA - A^T) divides every entry of it.
     """
     n = data.size
-    numer, denom = from_seifert(data).form
+    numer, denom = data.form
     # (t-1) adj(tA - A^T) is -N^T, so the change at x = e_i, w = e_j is
     # -(N (tA - A^T))_ji; the sign does not affect divisibility
     change = numer * data.presentation
@@ -432,16 +433,15 @@ def verify_entry(entry: CatalogEntry, trials: int = 25,
         raise ValueError(f"need at least one trial, got {trials}")
     rng = random.Random(seed)
     data = entry.data()
-    pairing = PresentedPairing(data)
     if isinstance(data, DualSurfaceData):
-        return [check_sesquilinear(pairing, entry, rng, trials)]
+        return [check_sesquilinear(data, entry, rng, trials)]
     exact = ((check_consistency, check_mk, check_kearton) if isinstance(data, SeifertData)
              else (check_fibred_specialization,))
-    adjoint = _adjoint(pairing)
-    return [check_well_defined(pairing, entry, adjoint),
-            check_sesquilinear(pairing, entry, rng, trials),
-            check_hermitian(pairing, entry),
-            check_nonsingular(pairing, entry, adjoint)] + \
+    adjoint = _adjoint(data)
+    return [check_well_defined(data, entry, adjoint),
+            check_sesquilinear(data, entry, rng, trials),
+            check_hermitian(data, entry),
+            check_nonsingular(data, entry, adjoint)] + \
         [check(data, entry) for check in exact]
 
 

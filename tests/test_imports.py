@@ -153,7 +153,7 @@ def test_public_surface_is_pinned():
         "CatalogEntry", "CheckResult", "DualSurfaceData",
         "EntryParseError", "FibredData", "IndeterminateSignatureError",
         "InvariantViolation", "LAURENT", "LaurentPoly", "MKAssemblyError", "MKForm",
-        "Matrix", "PresentedPairing", "QModLambda", "RationalFunction", "SeifertData",
+        "Matrix", "QModLambda", "RationalFunction", "SeifertData",
         "SingularMatrixError", "ZZ", "alexander_polynomial", "as_laurent_vector",
         "basis_vector", "builtin", "builtin_catalog", "canonical_class",
         "from_dual_surface", "from_fibred", "from_seifert", "kearton_value",

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -372,3 +373,28 @@ def test_records_are_immutable_values():
     assert hash(LaurentPoly.const(3)) == hash(LaurentPoly(0, (3,)))
     assert RF(T * T - 1, T - 1) == RF(T + 1) and hash(RF(2, 4)) == hash(RF(1, 2))
     assert RF(1) != 1 and LaurentPoly.one().__eq__(1) is NotImplemented
+
+
+def test_from_int_rows_rejects_non_integral_entries():
+    # int() used to truncate these: [[-1.5, 1], [0, -1.9]] read as the
+    # trefoil's Seifert matrix, and [[0.5]] over Z[t,t^-1] as [[0]]
+    for ring, rows, bad in ((ZZ, [[-1.5, 1], [0, -1.9]], "-1.5"), (LAURENT, [[0.5]], "0.5"),
+                            (ZZ, [[1, 0.5]], "0.5"), (LAURENT, [[1], ["2"]], "'2'")):
+        with pytest.raises(TypeError, match=f"matrix entry {re.escape(bad)} is not an integer"):
+            Matrix.from_int_rows(ring, rows)
+
+
+def test_from_int_rows_accepts_integral_values():
+    for ring in (ZZ, LAURENT):
+        m = Matrix.from_int_rows(ring, [[True, 2.0], [0, -1]])
+        assert m == Matrix.from_int_rows(ring, [[1, 2], [0, -1]])
+    assert all(type(e) is int for row in Matrix.from_int_rows(ZZ, [[True, 2.0]]).entries
+               for e in row)
+
+
+def test_from_int_rows_accepts_numpy_integers():
+    np = pytest.importorskip("numpy")
+    rows = np.array([[-1, 1], [0, -1]], dtype=np.int64)
+    for ring in (ZZ, LAURENT):
+        assert Matrix.from_int_rows(ring, rows) == Matrix.from_int_rows(ring, [[-1, 1], [0, -1]])
+    assert all(type(e) is int for row in Matrix.from_int_rows(ZZ, rows).entries for e in row)

@@ -110,7 +110,7 @@ def test_pairing_values_match_schoolbook():
     pairings += [from_fibred(builtin("trefoil-fibred").data())]
     pairings += [from_seifert(random_seifert(g, 25, g)) for g in (2, 4, 6)]
     for pairing in pairings:
-        n, numer = pairing.size, pairing._numer
+        n, numer = pairing.size, pairing.form[0]
         vectors = [basis_vector(n, i) for i in range(n)]
         vectors += [_vector(rng, n, 5) for _ in range(6)]
         for v in vectors:

@@ -6,7 +6,7 @@ from blanchfield.catalog import builtin, random_seifert
 from blanchfield.laurent import LaurentPoly, T
 from blanchfield.matrix import LAURENT, ZZ, Matrix
 from blanchfield.mkform import MKForm, mk_matrix, standard_symplectic, symplectic_normalize
-from blanchfield.pairing import PresentedPairing, SeifertData, basis_vector, from_seifert
+from blanchfield.pairing import SeifertData, basis_vector, from_seifert
 from blanchfield.verify import random_vector
 
 TREFOIL = SeifertData(Matrix.from_int_rows(ZZ, [[-1, 1], [0, -1]]))
@@ -88,26 +88,24 @@ def test_mk_empty():
 def test_mk_pairing_trefoil_value_and_hermitian():
     form = mk_matrix(TREFOIL)
     e1, e2 = basis_vector(2, 0), basis_vector(2, 1)
-    pairing = PresentedPairing(form)
-    assert str(pairing.value(e1, e1)) == "(-t)/(t^2 - t + 1)"
-    assert pairing.value(e1, e2) == pairing.value(e2, e1).conjugate()
+    assert str(form.value(e1, e1)) == "(-t)/(t^2 - t + 1)"
+    assert form.value(e1, e2) == form.value(e2, e1).conjugate()
 
 
 def test_mk_pairing_zero_vector():
     form = mk_matrix(TREFOIL)
     zero = (LaurentPoly.zero(), LaurentPoly.zero())
-    assert PresentedPairing(form).value(zero, basis_vector(2, 0)).is_zero()
+    assert form.value(zero, basis_vector(2, 0)).is_zero()
 
 
 def test_mk_pairing_well_defined_under_presentation_shift():
     form = mk_matrix(TREFOIL)
-    pp = PresentedPairing(form)
     rng = random.Random(7)
     for _ in range(10):
         v, w, x = (random_vector(rng, 2) for _ in range(3))
-        base = pp.value(v, w)
+        base = form.value(v, w)
         shifted = tuple(a + s for a, s in zip(v, form.mk.mul_vec(x)))
-        assert pp.value(shifted, w) == base
+        assert form.value(shifted, w) == base
 
 
 def test_mk_random_entries_hermitian_det():
@@ -155,14 +153,16 @@ def test_mk_block_formulas_match_qt_sum():
 
 def test_mk_presented_pairing_built_once():
     form = mk_matrix(random_seifert(2, 3, 4))
-    pp = PresentedPairing(form)
-    # each pairing wraps the one form (N, d) kept on the MKForm
-    assert PresentedPairing(form).form[0] is pp.form[0]
+    e = basis_vector(form.size, 0)
+    form.value(e, e)
+    # the first value keeps the one form (N, d) on the MKForm
+    numer, denom = vars(form)["form"]
+    assert form.form[0] is numer
     # the numerator is -adj(M_K(t^-1)), taken as the conjugate of -adj(M_K)
     adj, det = form.mk.conjugate().adjugate()
-    assert pp._numer == -adj and pp._denom == det
+    assert numer == -adj and denom == det
     # membership reads the elimination cached on the form
-    assert pp.data is form and form.adjugate == form.mk.adjugate()
+    assert form.adjugate == form.mk.adjugate()
 
 
 def test_mk_form_rejects_an_integer_matrix():
@@ -184,11 +184,10 @@ def _isometry_checks(data, top, bottom):
                               for j in range(n)] for i in range(n)], cols=n)
     x = scale * form.congruence.to_ring(LAURENT)
     seifert, e = from_seifert(data), [basis_vector(n, i) for i in range(n)]
-    mk = PresentedPairing(form)
-    agree = all(seifert.value(e[i], e[j]) == mk.value(x.column(i), x.column(j))
+    agree = all(seifert.value(e[i], e[j]) == form.value(x.column(i), x.column(j))
                 for i in range(n) for j in range(n))
     image = x * data.presentation
-    killed = all(mk.is_zero_element(image.column(j)) for j in range(n))
+    killed = all(form.is_zero_element(image.column(j)) for j in range(n))
     return agree, killed
 
 

@@ -2,16 +2,18 @@ import gc
 import itertools
 import math
 import random
+import re
 import weakref
 
 import pytest
 
+from blanchfield import pairing as pairing_module
 from blanchfield.catalog import builtin, builtin_catalog, random_seifert
 from blanchfield.laurent import LaurentPoly, T
 from blanchfield.matrix import LAURENT, ZZ, Matrix, _elimination_width
 from blanchfield.mkform import MKForm, mk_matrix
 from blanchfield.pairing import (DualSurfaceData, FibredData, InvariantViolation,
-                                 PresentedPairing, SeifertData, _one_minus_t, _PresentedData,
+                                 SeifertData, _one_minus_t, _PresentedData,
                                  as_laurent_vector, basis_vector, from_dual_surface,
                                  from_fibred, from_seifert, kearton_value, stabilize)
 from blanchfield.qmod import canonical_class
@@ -46,22 +48,40 @@ def test_fibred_data_preconditions_reported_individually():
 
 
 EMPTY = Matrix(ZZ, (), cols=0)
+BUILDERS = {SeifertData: from_seifert, FibredData: from_fibred,
+            DualSurfaceData: from_dual_surface}
 
 
 @pytest.mark.parametrize("data", [e.data() for e in builtin_catalog()]
-                         + [SeifertData(EMPTY), FibredData(EMPTY, EMPTY)],
-                         ids=[e.name for e in builtin_catalog()] + ["seifert-0x0", "fibred-0x0"])
+                         + [SeifertData(EMPTY), FibredData(EMPTY, EMPTY),
+                            mk_matrix(builtin("cinquefoil").data())],
+                         ids=[e.name for e in builtin_catalog()]
+                         + ["seifert-0x0", "fibred-0x0", "mk-cinquefoil"])
 def test_every_kind_reads_size_and_determinant_off_its_presentation(data):
     assert data.size == data.presentation.rows
     assert data.determinant() == data.adjugate[1]
+    # the data is its own pairing: from_* hands it back, and it answers
+    # value and pairing_matrix from its form (N, d)
+    build = BUILDERS.get(type(data))
+    assert build is None or build(data) is data
+    (numer, denom), n = data.form, data.size
+    assert data.pairing_matrix == Matrix(None, [[RF(e, denom) for e in row]
+                                                for row in numer.entries], cols=n)
+    for i, j in itertools.product(range(n), repeat=2):
+        value = data.value(basis_vector(n, i), basis_vector(n, j))
+        assert value == canonical_class(RF(numer[i, j], denom))
+    assert all(data.is_zero_element(data.presentation.column(j)) for j in range(n))
 
 
 def test_size_and_determinant_are_defined_once():
+    pairing = {"value", "is_zero_element", "pairing_matrix"}
     for cls in (SeifertData, FibredData, DualSurfaceData, MKForm):
-        assert "size" not in vars(cls)
+        assert not ({"size"} | pairing) & set(vars(cls))
     for cls in (SeifertData, FibredData, DualSurfaceData):
         assert "determinant" not in vars(cls)
-    assert {"size", "determinant"} <= set(vars(_PresentedData))
+    assert {"size", "determinant"} | pairing <= set(vars(_PresentedData))
+    # no second pairing class wraps the data
+    assert not hasattr(pairing_module, "PresentedPairing")
 
 
 def test_mk_determinant_is_the_constructor_det_without_elimination():
@@ -241,6 +261,29 @@ def test_stabilize_preserves_presentation_up_to_unit(kind):
     assert from_seifert(st2).presentation.det().is_unit_multiple_of(DELTA)
 
 
+def test_stabilize_rejects_non_integral_data():
+    # int() used to truncate these: [0.7, 2.2] put 0 and 2 into the new column
+    for row, bad in (([0.7, 2.2], "0.7"), ((1, -0.5), "-0.5"), (("1", 0), "'1'")):
+        with pytest.raises(TypeError, match=f"enlargement entry {re.escape(bad)} is not an integer"):
+            stabilize(TREFOIL, row, "upper")
+    for kind in ("upper", "lower"):
+        assert stabilize(TREFOIL, (True, 2.0), kind) == stabilize(TREFOIL, (1, 2), kind)
+
+
+def test_stabilize_accepts_numpy_integers():
+    np = pytest.importorskip("numpy")
+    assert stabilize(TREFOIL, np.array([1, -2]), "upper") == stabilize(TREFOIL, (1, -2), "upper")
+
+
+def test_basis_vector_rejects_an_index_out_of_range():
+    # basis_vector(2, 5) used to be the zero vector, so the pairing of
+    # basis_vector(2, 2) with e1 read 0
+    for n, i in ((2, 2), (2, 5), (2, -1), (0, 0)):
+        with pytest.raises(ValueError, match=f"basis index {i} out of range for length {n}"):
+            basis_vector(n, i)
+    assert basis_vector(2, 1) == (LaurentPoly.zero(), LaurentPoly.one())
+
+
 def test_random_seifert_pairings_nonsingular():
     for seed in range(5):
         data = random_seifert(2, 3, seed)
@@ -278,8 +321,8 @@ def test_seifert_and_mk_pairings_carry_the_presentation_adjugate():
     # t-power slip in the adjugate handed over at construction
     for genus, seed in [(1, 5), (2, 6), (2, 7), (3, 8)]:
         data = random_seifert(genus, 3, seed)
-        for b in (from_seifert(data), PresentedPairing(mk_matrix(data))):
-            assert b.data.adjugate == b.presentation.adjugate()
+        for b in (from_seifert(data), mk_matrix(data)):
+            assert b.adjugate == b.presentation.adjugate()
 
 
 def test_pairing_forms_are_built_once_per_data_object():
@@ -288,7 +331,7 @@ def test_pairing_forms_are_built_once_per_data_object():
     for data, build in [(random_seifert(2, 3, 4), from_seifert),
                         (TREFOIL_FIBRED, from_fibred)]:
         numer, denom = build(data).form
-        assert build(data).form[0] is numer and build(data).data is data
+        assert build(data).form[0] is numer and build(data) is data
         twin = type(data)(*[getattr(data, f) for f in data._fields])
         assert twin == data and build(twin).form[0] is not numer
         assert build(twin).form == (numer, denom)
@@ -305,14 +348,18 @@ def test_constructors_refuse_other_data_kinds():
         from_fibred(TREFOIL)
     with pytest.raises(TypeError, match="expected DualSurfaceData, got SeifertData"):
         from_dual_surface(TREFOIL)
+    e1 = basis_vector(2, 0)
+    with pytest.raises(TypeError, match="expected SeifertData, got FibredData"):
+        kearton_value(fibred, e1, e1)
     adj, det = fibred.presentation.adjugate()
     assert from_fibred(fibred).form == (
         fibred.intersection.to_ring(LAURENT) * adj.conjugate(), det.conjugate())
 
 
 def test_data_objects_are_freed_by_reference_counting():
-    # a pairing holds its data and the data keeps only its form (N, d), no
-    # pairing, so dropping both frees the data without the cyclic collector
+    # the data is its own pairing and keeps only its presentation,
+    # elimination and form (N, d), so dropping it frees it without the
+    # cyclic collector
     def dropped(data, build):
         e = basis_vector(data.size, 0)
         build(data).value(e, e)
@@ -326,8 +373,7 @@ def test_data_objects_are_freed_by_reference_counting():
                                    TREFOIL_FIBRED.intersection), from_fibred),
                 dropped(DualSurfaceData(a, a.transpose(), a - a.transpose()),
                         from_dual_surface),
-                dropped(mk_matrix(random_seifert(2, 3, 6)),
-                        PresentedPairing)]
+                dropped(mk_matrix(random_seifert(2, 3, 6)), lambda form: form)]
         alive = [r() is not None for r in refs]
     finally:
         gc.enable()
@@ -340,10 +386,9 @@ def test_fibred_pairing_from_one_elimination():
     p = TREFOIL_FIBRED.monodromy
     for _ in range(4):
         b = from_fibred(FibredData(p, TREFOIL_FIBRED.intersection))
-        assert b.data.adjugate == b.presentation.adjugate()
+        assert b.adjugate == b.presentation.adjugate()
         direct, det = (tinv * p.to_ring(LAURENT) - Matrix.identity(LAURENT, 2)).adjugate()
-        assert b._numer == TREFOIL_FIBRED.intersection.to_ring(LAURENT) * direct
-        assert b._denom == det
+        assert b.form == (TREFOIL_FIBRED.intersection.to_ring(LAURENT) * direct, det)
         p = p * TREFOIL_FIBRED.monodromy
 
 

@@ -8,7 +8,7 @@ from blanchfield.laurent import LaurentPoly, T
 from blanchfield.matrix import LAURENT, ZZ, Matrix
 from blanchfield.mkform import mk_matrix
 from blanchfield.pairing import (DualSurfaceData, SeifertData, as_laurent_vector,
-                                 basis_vector, from_dual_surface, from_fibred, from_seifert,
+                                 basis_vector, from_dual_surface, from_seifert,
                                  kearton_value, stabilize)
 from blanchfield.verify import (_adjoint, _agree_on_generators, _transported, check_consistency,
                                 check_fibred_specialization, check_hermitian,
@@ -71,11 +71,7 @@ def test_kearton_check_fails_without_witness_on_nontrivial_module(monkeypatch):
 def test_counterexamples_are_replayable():
     # force a failure by checking hermitian-ness against a deliberately
     # broken pairing: swap the pairing matrix for a non-hermitian one
-    from blanchfield.pairing import from_seifert
-    pairing = from_seifert(TREFOIL)
-    broken = object.__new__(type(pairing))
-    broken.__dict__.update(pairing.__dict__)
-    broken._numer = pairing._numer.map_entries(lambda e: e * e)
+    broken = _broken_copy(TREFOIL, _numer_mapped(lambda e: e * e))
     entry = seifert_entry(TREFOIL)
     result = check_hermitian(broken, entry)
     assert not result.passed
@@ -86,31 +82,36 @@ def test_counterexamples_are_replayable():
 
 
 
-def _broken_trefoil(swap):
-    # the trefoil pairing with the attributes swap(pairing) put in place
-    pairing = from_seifert(TREFOIL)
-    broken = object.__new__(type(pairing))
-    broken.__dict__.update(pairing.__dict__)
-    broken.__dict__.update(swap(pairing))
+def _broken_copy(data, swap):
+    # a copy of the data, its presentation and elimination kept, with the
+    # attributes swap(data) put in place of its own
+    data.form
+    broken = object.__new__(type(data))
+    vars(broken).update(vars(data), **swap(data))
+    assert "presentation" in vars(broken) and "adjugate" in vars(broken)
     return broken
+
+
+def _numer_mapped(fn):
+    # the swap of the form (N, d) for (fn(N), d), fn entrywise
+    return lambda d: {"form": (d.form[0].map_entries(fn), d.form[1])}
 
 
 @pytest.mark.parametrize("check, swap", [
     (lambda p, entry: check_well_defined(p, entry, _adjoint(p)),
-     lambda p: {"_numer": p._numer.map_entries(lambda e: e * e)}),
+     _numer_mapped(lambda e: e * e)),
     # v^T N w: the conjugation of w is dropped
     (lambda p, entry: check_sesquilinear(p, entry, random.Random(0), trials=20),
      lambda p: {"value": lambda v, w: p.value(
          v, [e.conjugate() for e in as_laurent_vector(w)])}),
-    (check_hermitian,
-     lambda p: {"_numer": p._numer.map_entries(lambda e: e * e)}),
+    (check_hermitian, _numer_mapped(lambda e: e * e)),
     (lambda p, entry: check_nonsingular(p, entry, _adjoint(p)),
-     lambda p: {"_numer": p._numer.map_entries(lambda e: 0 * e)}),
+     _numer_mapped(lambda e: 0 * e)),
 ], ids=["well-defined", "sesquilinear", "hermitian", "nonsingular"])
 def test_checks_fail_on_broken_pairings(check, swap):
     # negative controls: each check must be able to fail
     entry = seifert_entry(TREFOIL)
-    result = check(_broken_trefoil(swap), entry)
+    result = check(_broken_copy(TREFOIL, swap), entry)
     assert not result.passed
     assert result.line().startswith(f"{result.name}: FAIL")
     assert result.counterexample.startswith(render_entry(entry))
@@ -123,10 +124,7 @@ def test_singular_form_fails_nonsingularity_only():
     # onto, since z0 and Delta = -t + 3 - t^-1 share the root -1 mod 5; the
     # adjoint is z = (t - 1) z0 times an isomorphism, t-powers dropped
     entry = builtin("figure-eight")
-    pairing = from_seifert(entry.data())
-    broken = object.__new__(type(pairing))
-    broken.__dict__.update(pairing.__dict__)
-    broken._numer = pairing._numer.map_entries(lambda e: e * LaurentPoly(-1, (1, 2, 1)))
+    broken = _broken_copy(entry.data(), _numer_mapped(lambda e: e * LaurentPoly(-1, (1, 2, 1))))
     adjoint = _adjoint(broken)
     assert check_well_defined(broken, entry, adjoint).passed
     assert check_hermitian(broken, entry).passed
@@ -147,11 +145,10 @@ def _certified_corpus():
 def test_exact_checks_pass_with_a_certificate(entry):
     # every exact check decides its property from a certificate it names
     data = entry.data()
-    pairing = from_fibred(data) if entry.kind == "fibred" else from_seifert(data)
-    n = pairing.size
-    adjoint = _adjoint(pairing)
-    results = [check_well_defined(pairing, entry, adjoint), check_hermitian(pairing, entry),
-               check_nonsingular(pairing, entry, adjoint)]
+    n = data.size
+    adjoint = _adjoint(data)
+    results = [check_well_defined(data, entry, adjoint), check_hermitian(data, entry),
+               check_nonsingular(data, entry, adjoint)]
     assert all(r.passed for r in results), results
     well_defined, hermitian, nonsingular = (r.detail for r in results)
     assert well_defined == hermitian == f"{n * n} generator pairs"
@@ -169,8 +166,7 @@ def test_nonsingular_without_certificate_fails_and_names_it(monkeypatch):
     monkeypatch.setattr(verify, "_generate_lambda",
                         lambda z, delta: (None, "resultant 7 not factored"))
     entry = seifert_entry(TREFOIL)
-    pairing = from_seifert(TREFOIL)
-    result = check_nonsingular(pairing, entry, _adjoint(pairing))
+    result = check_nonsingular(TREFOIL, entry, _adjoint(TREFOIL))
     assert result.line() == ("nonsingularity: FAIL (Z and Y are z times invertible matrices, "
                              "z = t - 1, no certificate: resultant 7 not factored)")
     assert result.counterexample.startswith(render_entry(entry))
@@ -385,8 +381,7 @@ def test_well_defined_and_mk_on_random_instance():
     from blanchfield.catalog import random_seifert
     data = random_seifert(3, 3, 17)
     entry = seifert_entry(data)
-    pairing = from_seifert(data)
-    assert check_well_defined(pairing, entry, _adjoint(pairing)).passed
+    assert check_well_defined(data, entry, _adjoint(data)).passed
     assert check_mk(data, entry).passed
 
 
