@@ -34,20 +34,7 @@ _SUBMODULE = {name: module for module, names in {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CatalogEntry", "CheckResult", "DualSurfaceData",
-    "EntryParseError", "FibredData", "IndeterminateSignatureError",
-    "InvariantViolation", "LAURENT", "LaurentPoly", "MKAssemblyError",
-    "MKForm", "Matrix", "QModLambda",
-    "RationalFunction", "SeifertData", "SingularMatrixError", "ZZ",
-    "alexander_polynomial", "as_laurent_vector", "basis_vector", "builtin",
-    "builtin_catalog", "canonical_class", "from_dual_surface", "from_fibred",
-    "from_seifert", "kearton_value", "kearton_witness",
-    "levine_tristram_signature", "load_entry", "mk_matrix", "mk_signature",
-    "random_seifert", "render_entry", "signature_profile", "stabilize",
-    "standard_symplectic", "symplectic_normalize", "verify_entry",
-    "verify_random",
-]
+__all__ = sorted(_SUBMODULE)
 
 
 def __getattr__(name: str):

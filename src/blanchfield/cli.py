@@ -45,7 +45,8 @@ def _resolve_entry(ref: str) -> CatalogEntry:
 
 
 def _parse_vector(text: str, size: int) -> tuple[LaurentPoly, ...]:
-    parts = text.split(",")
+    # blank text is the empty vector, the one vector of Lambda^0
+    parts = text.split(",") if text.strip() else []
     try:
         vec = tuple(LaurentPoly.parse(p) for p in parts)
     except ValueError as exc:

@@ -1,8 +1,10 @@
 """Alexander polynomials and exact Levine-Tristram signatures.
 
 The Alexander polynomial is det(tA - A^T), read off the data object's
-cached elimination (tA - A^T is nonsingular, as det(A - A^T) = 1), and
-normalized by a unit so that Delta(t) = Delta(1/t) and Delta(1) = 1.
+determinant(): one Bareiss det, kept on the data, or the det of its
+elimination when the adjugate has already been formed (tA - A^T is
+nonsingular, as det(A - A^T) = 1).  It is normalized by a unit so that
+Delta(t) = Delta(1/t) and Delta(1) = 1.
 
 Signatures are exact, and one evaluator serves both hermitian Laurent
 matrices: the Levine-Tristram form (1 - t)A + (1 - t^-1)A^T, entrywise

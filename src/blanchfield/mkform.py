@@ -22,7 +22,9 @@ equals the M_K value of (X e_i, X e_j).  The test suite checks both.
 
 MKForm is presented data like SeifertData: an immutable Record whose
 presentation is M_K, with its elimination and its pairing form (N, d)
-cached on first use.  It presents its own pairing, module
+cached on first use.  Its constructor's nonsingularity check reads the
+inherited determinant(), one Bareiss det with no adjugate, which the
+data then keeps.  It presents its own pairing, module
 Lambda^2k/M_K(t) with -v^T M_K(t^-1)^{-1} conj(w): form.value,
 form.is_zero_element and form.pairing_matrix.
 """
@@ -129,30 +131,24 @@ class MKForm(_PresentedData):
 
     An immutable Record whose presentation is M_K.  Raises ValueError
     unless M_K is over Z[t,t^-1], and MKAssemblyError unless it is
-    hermitian and nonsingular; the determinant taken for that check is
-    kept.
+    hermitian and nonsingular; nonsingularity is read off determinant(),
+    which keeps det M_K for later reads.
     """
 
     _fields = ("mk", "congruence")
 
     def __init__(self, mk: Matrix, congruence: Matrix):
+        super().__init__(mk, congruence)
         if mk.ring is not LAURENT:
             raise ValueError("M_K must be a matrix over Z[t,t^-1]")
         if mk.conjugate_transpose() != mk:
             raise MKAssemblyError("assembled M_K is not hermitian")
-        det = mk.det()
-        if not det:
+        if not self.determinant():
             raise MKAssemblyError("assembled M_K is singular")
-        super().__init__(mk, congruence)
-        vars(self)["_det"] = det
 
     @property
     def presentation(self) -> Matrix:
         return self.mk
-
-    def determinant(self) -> LaurentPoly:
-        """det M_K, as taken by the constructor: no elimination."""
-        return self._det
 
     @functools.cached_property
     def form(self) -> tuple[Matrix, LaurentPoly]:

@@ -99,6 +99,11 @@ class _PresentedData(Record):
     N / d itself: value, is_zero_element and pairing_matrix.  On
     dual-surface data value reads v in H_1 of the surface, as i+ v, so
     only is_zero_element is in module coordinates there.
+
+    determinant() is the one definition of det P for every kind: it reads
+    the adjugate's det once that elimination has run, and otherwise runs
+    Bareiss without the Jordan half and keeps it, so alexander and
+    signature form no adjugate.
     """
 
     presentation: Matrix
@@ -114,8 +119,16 @@ class _PresentedData(Record):
         return self.presentation.rows
 
     def determinant(self) -> LaurentPoly:
-        """det P of the presentation P."""
-        return self.adjugate[1]
+        """det P of the presentation P: read off the elimination once it has
+        run, and before that by Bareiss without the adjugate (det P is unique,
+        so both routes give the same polynomial)."""
+        if "adjugate" in vars(self):
+            return self.adjugate[1]
+        return self._det
+
+    @functools.cached_property
+    def _det(self) -> LaurentPoly:
+        return self.presentation.det()
 
     def value(self, v: Sequence, w: Sequence) -> QModLambda:
         """The pairing of two coordinate vectors, as its class in Q/Lambda."""

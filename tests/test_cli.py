@@ -53,6 +53,8 @@ def test_pairing_unknot_empty_matrix(capsys):
     code, out, _ = run(capsys, "pairing", "unknot")
     assert code == 0
     assert out.strip() == "[]"
+    # blank text is the empty tuple, the one vector of Lambda^0
+    assert run(capsys, "pairing", "unknot", "--v", "", "--w", "") == (0, "0\n", "")
 
 
 def test_pairing_full_matrix_fibred(capsys):
@@ -109,6 +111,9 @@ def test_pairing_dimension_mismatch_is_input_error(capsys):
     code, _, err = run(capsys, "pairing", "trefoil", "--v", "1", "--w", "1,0")
     assert code == 2
     assert "length" in err
+    code, out, err = run(capsys, "pairing", "trefoil", "--v", "", "--w", "1,0")
+    assert (code, out) == (2, "")
+    assert "has length 0, expected 2" in err
 
 
 def test_mk_trefoil(capsys):

@@ -40,8 +40,8 @@ def unused_imports(source: str) -> list[str]:
     for scope in [tree] + [n for n in ast.walk(tree) if isinstance(n, FUNCTIONS)]:
         used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
         for node in scope.body:
-            # names listed in __all__ are re-exports
-            if isinstance(node, ast.Assign) and any(
+            # names listed in a literal __all__ are re-exports
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.List) and any(
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                 used |= {e.value for e in node.value.elts}
         unused += [name for name in _imports(scope) if name not in used]

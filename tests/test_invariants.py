@@ -30,7 +30,6 @@ def test_alexander_pins():
 
 
 def test_alexander_and_signature_share_one_elimination(monkeypatch):
-    data = SeifertData(CINQUEFOIL.matrix)
     calls = []
     det, adjugate = Matrix.det, Matrix.adjugate
 
@@ -44,11 +43,17 @@ def test_alexander_and_signature_share_one_elimination(monkeypatch):
 
     monkeypatch.setattr(Matrix, "det", counting_det)
     monkeypatch.setattr(Matrix, "adjugate", counting_adjugate)
-    delta = alexander_polynomial(data)
-    assert levine_tristram_signature(data, -1) == -4
-    assert alexander_polynomial(data) == delta
-    # tA - A^T is eliminated once, and every later read takes its cached det
-    assert calls == ["adjugate"]
+    for form_first in (False, True):
+        data = SeifertData(CINQUEFOIL.matrix)
+        calls.clear()
+        if form_first:
+            data.form
+        delta = alexander_polynomial(data)
+        assert levine_tristram_signature(data, -1) == -4
+        assert alexander_polynomial(data) == delta
+        # tA - A^T is eliminated once: by Bareiss det alone, with no adjugate,
+        # unless the form has already formed the adjugate, whose det they read
+        assert calls == (["adjugate"] if form_first else ["det"])
 
 
 def test_alexander_is_symmetric_with_value_one():

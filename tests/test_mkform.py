@@ -5,7 +5,8 @@ import pytest
 from blanchfield.catalog import builtin, random_seifert
 from blanchfield.laurent import LaurentPoly, T
 from blanchfield.matrix import LAURENT, ZZ, Matrix
-from blanchfield.mkform import MKForm, mk_matrix, standard_symplectic, symplectic_normalize
+from blanchfield.mkform import (MKAssemblyError, MKForm, mk_matrix, standard_symplectic,
+                               symplectic_normalize)
 from blanchfield.pairing import SeifertData, basis_vector, from_seifert
 from blanchfield.verify import random_vector
 
@@ -173,6 +174,20 @@ def test_mk_form_rejects_an_integer_matrix():
         MKForm(Matrix.from_int_rows(ZZ, [[2, 1], [1, 2]]), eye)
     with pytest.raises(ValueError, match=r"Z\[t,t\^-1\]"):
         MKForm(Matrix(ZZ, (), cols=0), Matrix(ZZ, (), cols=0))
+
+
+def test_mk_form_rejects_singular_and_non_hermitian_matrices():
+    eye = Matrix.identity(ZZ, 1)
+    zero = LaurentPoly.zero()
+    with pytest.raises(MKAssemblyError, match="assembled M_K is singular"):
+        MKForm(Matrix(LAURENT, [[zero]]), eye)
+    with pytest.raises(MKAssemblyError, match="not hermitian"):
+        MKForm(Matrix(LAURENT, [[T]]), eye)
+    # the checks run in order: ring, then hermitian, then nonsingular
+    with pytest.raises(MKAssemblyError, match="not hermitian"):
+        MKForm(Matrix(LAURENT, [[zero, T], [zero, zero]]), Matrix.identity(ZZ, 2))
+    with pytest.raises(ValueError, match=r"Z\[t,t\^-1\]"):
+        MKForm(Matrix.from_int_rows(ZZ, [[0]]), eye)
 
 
 def _isometry_checks(data, top, bottom):
